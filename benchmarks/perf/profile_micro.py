@@ -3,7 +3,7 @@
 Usage (repo root)::
 
     PYTHONPATH=src python benchmarks/perf/profile_micro.py [--size N]
-        [--top N] [--sort KEY] [--reference]
+        [--top N] [--sort KEY]
 
 Equivalent to ``python -m repro profile`` — kept next to the benchmarks so
 the perf workflow (profile -> optimise -> datapath_bench -> gate) lives in

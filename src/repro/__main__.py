@@ -23,8 +23,7 @@ Commands:
   non-zero if any fairness gate fails (victim goodput, aggressor cap,
   surge p99, cross-tenant retry-budget exhaustion).
 * ``profile`` — cProfile one warmed TLS offload through the
-  micro-simulation (the instrument behind the batched fast path);
-  ``--reference`` profiles the per-line path for comparison.
+  micro-simulation (the instrument behind the batched range path).
 * ``replicate`` — replicated storage on the fleet: ABD quorum or chain
   replication with SmartDIMM-priced compress+encrypt hops, optional
   node_down/channel_wedge chaos, and a post-run consistency audit
@@ -426,14 +425,7 @@ def _cmd_matrix(args) -> int:
 def _cmd_profile(args) -> int:
     from repro.profiling import run_profile
 
-    print(
-        run_profile(
-            size=args.size,
-            top=args.top,
-            sort=args.sort,
-            fast_path=not args.reference,
-        )
-    )
+    print(run_profile(size=args.size, top=args.top, sort=args.sort))
     return 0
 
 
@@ -623,8 +615,6 @@ def main(argv=None) -> int:
                          help="rows to print (default 25)")
     profile.add_argument("--sort", default="cumulative",
                          help="pstats sort key (default cumulative)")
-    profile.add_argument("--reference", action="store_true",
-                         help="profile the per-line reference path")
     args = parser.parse_args(argv)
     return {
         "demo": _cmd_demo,

@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.dram.commands import CACHELINE_SIZE
+from repro.faults.errors import FaultError
 
 
 class AccessClass(enum.Enum):
@@ -152,6 +153,44 @@ class LLC:
         self._sets[set_index][way] = line
         return line
 
+    def _fetch_misses(self, base: int, missing: list) -> tuple:
+        """Read a chunk's miss runs in bulk; returns ``(fetched, stop, fault)``.
+
+        `fetched` maps chunk offset -> line bytes.  A :class:`FaultError`
+        cuts the fetch at its faulting line: `stop` is that line's chunk
+        offset and `fault` the error, which the caller raises once the
+        lines before `stop` are filled, as a per-line load loop leaves
+        them.  Without a fault, `stop` and `fault` are None.
+        """
+        fetched = {}
+        run_start = 0
+        while run_start < len(missing):
+            run_end = run_start + 1
+            while (
+                run_end < len(missing)
+                and missing[run_end] == missing[run_end - 1] + 1
+            ):
+                run_end += 1
+            first = missing[run_start]
+            try:
+                data = self.mc.read_lines(base + (first << 6), run_end - run_start)
+            except FaultError as exc:
+                data = exc.partial
+                for j in range(len(data) >> 6):
+                    fetched[first + j] = data[j * CACHELINE_SIZE : (j + 1) * CACHELINE_SIZE]
+                return fetched, first + (len(data) >> 6), exc
+            for j in range(run_end - run_start):
+                fetched[first + j] = data[j * CACHELINE_SIZE : (j + 1) * CACHELINE_SIZE]
+            run_start = run_end
+        return fetched, None, None
+
+    def _raise_at(self, fault: FaultError):
+        """Finish a range op cut by `fault`: the faulting line's load
+        ticked the clock and counted its miss before the read raised."""
+        self._clock += 1
+        self.stats.misses += 1
+        raise fault
+
     # -- CPU interface -------------------------------------------------------------
 
     def load(self, address: int) -> bytes:
@@ -196,7 +235,9 @@ class LLC:
         write-queue drain can never fire mid-chunk (each fill queues at
         most one eviction writeback), and chunk lines occupy distinct sets,
         so prefetching cannot disturb any line the chunk still needs —
-        the command stream matches the per-line loop exactly.
+        the command stream matches the per-line loop exactly.  A
+        :class:`FaultError` on a fetch fills the lines before the faulting
+        one and then propagates, leaving the state a load loop would.
         """
         mc = self.mc
         # Masking once up front is identical to load()'s per-line masking.
@@ -225,23 +266,9 @@ class LLC:
                         break
                 else:
                     missing.append(m)
-            fetched = {}
-            run_start = 0
-            while run_start < len(missing):
-                run_end = run_start + 1
-                while (
-                    run_end < len(missing)
-                    and missing[run_end] == missing[run_end - 1] + 1
-                ):
-                    run_end += 1
-                first = missing[run_start]
-                data = mc.read_lines(base + (first << 6), run_end - run_start)
-                for j in range(run_start, run_end):
-                    offset = (j - run_start) * CACHELINE_SIZE
-                    fetched[missing[j]] = data[offset : offset + CACHELINE_SIZE]
-                run_start = run_end
+            fetched, stop, fault = self._fetch_misses(base, missing)
             clock = self._clock
-            for m in range(chunk):
+            for m in range(chunk if fault is None else stop):
                 clock += 1
                 line_number = (base >> 6) + m
                 tag = line_number // num_sets
@@ -279,6 +306,8 @@ class LLC:
                 line.dma_untouched = False
                 parts.append(bytes(line.data))
             self._clock = clock
+            if fault is not None:
+                self._raise_at(fault)
             i += chunk
         return b"".join(parts)
 
@@ -340,10 +369,12 @@ class LLC:
         """Copy `count` lines through the cache (== store(dst, load(src))).
 
         Source miss runs are prefetched in bulk; fills and stores then
-        replay per line in reference order, so eviction-writeback queue
+        replay per line in line order, so eviction-writeback queue
         order is preserved.  Chunks are sized so no drain fires mid-chunk,
         and prefetch is skipped when the chunk's src and dst set ranges
-        overlap (a dst fill could then evict a still-needed src line).
+        overlap (a dst fill could then evict a still-needed src line).  A
+        :class:`FaultError` on a source fetch stops the copy at the
+        faulting line, as in :meth:`load_range`.
         """
         mc = self.mc
         num_sets = self.num_sets
@@ -367,7 +398,7 @@ class LLC:
             dst_set = (dst_base >> 6) % num_sets
             gap = (dst_set - src_set) % num_sets
             if gap < chunk or (num_sets - gap) < chunk:
-                # Set ranges overlap: run the reference per-line pairing.
+                # Set ranges overlap: pair the loads and stores line by line.
                 for m in range(chunk):
                     self.store(dst_base + (m << 6), self.load(src_base + (m << 6)))
                 i += chunk
@@ -382,23 +413,9 @@ class LLC:
                         break
                 else:
                     missing.append(m)
-            fetched = {}
-            run_start = 0
-            while run_start < len(missing):
-                run_end = run_start + 1
-                while (
-                    run_end < len(missing)
-                    and missing[run_end] == missing[run_end - 1] + 1
-                ):
-                    run_end += 1
-                first = missing[run_start]
-                data = mc.read_lines(src_base + (first << 6), run_end - run_start)
-                for j in range(run_start, run_end):
-                    offset = (j - run_start) * CACHELINE_SIZE
-                    fetched[missing[j]] = data[offset : offset + CACHELINE_SIZE]
-                run_start = run_end
+            fetched, stop, fault = self._fetch_misses(src_base, missing)
             clock = self._clock
-            for m in range(chunk):
+            for m in range(chunk if fault is None else stop):
                 # load half
                 clock += 1
                 tag = (src_line + m) // num_sets
@@ -473,6 +490,8 @@ class LLC:
                 line.last_use = clock
                 line.dma_untouched = False
             self._clock = clock
+            if fault is not None:
+                self._raise_at(fault)
             i += chunk
 
     def flush_line(self, address: int) -> bool:
@@ -498,8 +517,8 @@ class LLC:
         Dirty resident lines at consecutive addresses are written back as
         one :meth:`MemoryController.write_lines_now` run.  Queue pops emit
         no commands and writeback issues never read the queue, so
-        pop-all-then-issue-run is command- and stats-identical to the
-        per-line :meth:`flush_range_reference` loop.
+        pop-all-then-issue-run is command- and stats-identical to a
+        :meth:`flush_line` loop.
         """
         start = address & ~(CACHELINE_SIZE - 1)
         dirty = 0
@@ -524,15 +543,6 @@ class LLC:
             del self._sets[set_index][way]
         if run_datas:
             self.mc.write_lines_now(run_address, run_datas)
-        return dirty
-
-    def flush_range_reference(self, address: int, length: int) -> int:
-        """Reference flush: the original per-line clflush loop."""
-        start = address & ~(CACHELINE_SIZE - 1)
-        dirty = 0
-        for line_address in range(start, address + length, CACHELINE_SIZE):
-            if self.flush_line(line_address):
-                dirty += 1
         return dirty
 
     def contains(self, address: int) -> bool:

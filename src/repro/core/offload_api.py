@@ -92,9 +92,6 @@ class SessionConfig:
     columns_per_row: int = 128
     smartdimm: SmartDIMMConfig = None
     trace: bool = False
-    # Range-granular fast path through LLC/controller/DIMM; False runs the
-    # retained per-line reference path (command-stream/stats-identical).
-    fast_path: bool = True
     # Fault-injection plan threaded through the device (None = no injection,
     # zero overhead) and the SEC-DED model toggle for injected DRAM flips.
     fault_plan: object = None
@@ -133,15 +130,13 @@ class SmartDIMMSession:
             self.memory, self.mapping, channel=0, config=self.config.smartdimm
         )
         self.mc = MemoryController(
-            self.mapping, {0: self.device}, TimingParams(),
-            trace=self.config.trace, batch=self.config.fast_path,
+            self.mapping, {0: self.device}, TimingParams(), trace=self.config.trace
         )
         self.llc = LLC(self.mc, size=self.config.llc_bytes, ways=self.config.llc_ways)
         self.driver = SmartDIMMDriver(self.device, self.mc)
         self.retry_budget = self.config.retry_budget or RetryBudget()
         self.compcpy = CompCpy(self.llc, self.mc, self.driver,
-                               retry_budget=self.retry_budget,
-                               use_fast_path=self.config.fast_path)
+                               retry_budget=self.retry_budget)
         self.compute_dma = ComputeDMA(self.llc, self.mc, self.driver)
         self.direct_offload = DirectOffloadEngine(self.llc, self.mc, self.driver)
         if self.config.fault_plan is not None:

@@ -27,7 +27,7 @@ from repro.dram.commands import CACHELINE_SIZE, LINES_PER_PAGE, PAGE_SIZE, Comma
 from repro.dram.memory_controller import CasResult
 from repro.dram.physical_memory import PhysicalMemory
 from repro.faults.checksum import payload_checksum
-from repro.faults.errors import DeviceBusyError
+from repro.faults.errors import DeviceBusyError, FaultError
 from repro.faults.plan import FaultSite
 from repro.core.bank_table import BankTable
 from repro.core.config_memory import ConfigMemory
@@ -620,38 +620,50 @@ class SmartDIMM:
         self.stats.alerts += 1
         return CasResult(alert=True)
 
-    # -- batched fast path (MemoryController.read_lines/write_lines) --------------------
+    # -- range path (MemoryController.read_lines/write_lines) ------------------------
 
     def bulk_ok(self, address: int) -> bool:
         """Whether a same-row burst at `address` may skip Command decoding.
 
-        MMIO lines need the full per-command path, and an attached fault
-        plan needs the per-line reference path so every injection site
-        draws from its RNG stream in reference order.
+        MMIO lines need the full per-command path.  Fault injection does
+        not: every site draws once per line, in line order, on this path
+        too, and a fault stops the burst at the faulting line.
         """
-        return self.fault_plan is None and not self._in_mmio(address)
+        return not self._in_mmio(address)
 
     def read_line_run(self, address: int, count: int, first_cycle: int,
                       step: int) -> tuple:
         """Serve consecutive rdCAS bursts; stats-identical to the per-line
         arbiter walk.  Returns ``(data, served, alerted)``: on S13 the run
         stops at the pending line (its issue is counted here; the
-        controller owns the retry loop).  The run never crosses a page, so
-        one translation lookup covers every line.
+        controller owns the retry loop).  A :class:`FaultError` (a
+        poisoned line) stops the run the same way: the lines before it are
+        counted and fed to the DSA, then the error propagates with them as
+        ``partial``.  The run never crosses a page, so one translation
+        lookup covers every line.
         """
         stats = self.stats
         entry = self.translation_table.lookup(address >> 12)
-        if entry is None:
-            stats.address_regenerations += count
-            stats.normal_reads += count
-            return self.memory.read_lines(address, count), count, False
-        if entry.is_source:
-            stats.address_regenerations += count
-            stats.normal_reads += count
-            data = self.memory.read_lines(address, count)
-            self._feed_dsa_run(
-                address, count, data, first_cycle, step, OffloadTrigger.SOURCE_READ
-            )
+        if entry is None or entry.is_source:
+            fault = None
+            try:
+                data = self.memory.read_lines(address, count)
+            except FaultError as exc:
+                fault, data = exc, exc.partial
+            served = len(data) >> 6
+            stats.address_regenerations += served
+            stats.normal_reads += served
+            if entry is not None:
+                self._feed_dsa_run(
+                    address, served, data, first_cycle, step, OffloadTrigger.SOURCE_READ
+                )
+            if fault is not None:
+                # The faulting issue regenerated its address; a plain read
+                # is counted before it reaches DRAM, a source read after.
+                stats.address_regenerations += 1
+                if entry is None:
+                    stats.normal_reads += 1
+                raise fault
             return data, count, False
         index = entry.target_offset
         line = (address & (PAGE_SIZE - 1)) // CACHELINE_SIZE
@@ -665,7 +677,12 @@ class SmartDIMM:
             state = states[line_m]
             if state is LineState.RECYCLED:
                 stats.normal_reads += 1
-                parts.append(self.memory.read_line(address + (m << 6)))
+                try:
+                    parts.append(self.memory.read_line(address + (m << 6)))
+                except FaultError as exc:
+                    stats.address_regenerations += served + 1
+                    exc.partial = b"".join(parts)
+                    raise
             elif state is LineState.VALID and (
                 ready_cycles[line_m] is None
                 or first_cycle + step * m >= ready_cycles[line_m]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from repro.dram.address import AddressMapping, DramCoordinate
 from repro.dram.commands import CACHELINE_SIZE, Command, CommandType
 from repro.dram.physical_memory import PhysicalMemory
-from repro.faults.errors import DsaWedgedError
+from repro.faults.errors import DsaWedgedError, FaultError
 
 
 @dataclass(slots=True)
@@ -52,7 +52,7 @@ class PlainDIMM:
             return CasResult()
         return CasResult()  # ACT/PRE maintain bank state only
 
-    # -- batched fast path (MemoryController.read_lines/write_lines) --------
+    # -- range path (MemoryController.read_lines/write_lines) ---------------
 
     def bulk_ok(self, address: int) -> bool:
         """A plain DIMM can always serve a same-row CAS burst."""
@@ -122,13 +122,12 @@ class TraceEntry:
 class MemoryController:
     """Schedules line-granular reads/writes onto per-channel DIMM devices.
 
-    `batch=True` (the default) enables the range-granular fast path: the
-    batch APIs (:meth:`read_lines`, :meth:`write_lines`,
-    :meth:`write_lines_now`) coalesce same-row CAS bursts into one
-    open-row check + one turnaround check per run, and the write-queue
-    drain issues runs instead of single lines.  The command stream, cycle
-    counts, stats, and trace are identical to the per-line reference path
-    (`batch=False`), which the equivalence tests assert.
+    The range APIs (:meth:`read_lines`, :meth:`write_lines`,
+    :meth:`write_lines_now`) and the write-queue drain coalesce same-row
+    CAS bursts into one open-row check + one turnaround check per run.
+    The command stream, cycle counts, stats, and trace are identical to a
+    loop of the line APIs, including when a fault cuts a range short; the
+    twin-session tests diff both against a per-line oracle.
     """
 
     WRITE_QUEUE_HIGH_WATERMARK = 48
@@ -140,7 +139,6 @@ class MemoryController:
         dimms: dict,
         timing: TimingParams = None,
         trace: bool = False,
-        batch: bool = True,
     ):
         self.mapping = mapping
         self.dimms = dict(dimms)
@@ -148,7 +146,6 @@ class MemoryController:
         if missing:
             raise ValueError("no DIMM bound to channels %s" % sorted(missing))
         self.timing = timing or TimingParams()
-        self.batch = batch
         self.cycle = 0
         self.stats = ControllerStats()
         self.trace = [] if trace else None
@@ -196,39 +193,43 @@ class MemoryController:
         self._write_queue.pop(address, None)
         self._issue_write(address, data)
 
-    # -- batch line interface (fast path; equivalent to per-line loops) ---------
+    # -- range interface (equivalent to loops of the line interface) ------------
 
     def read_lines(self, address: int, count: int) -> bytes:
         """Read `count` consecutive cachelines (== joining read_line calls).
 
         Queued writes are forwarded per line exactly as :meth:`read_line`
         does; the non-forwarded spans between them are issued as same-row
-        CAS bursts through the DIMM's ``read_line_run`` fast path.
+        CAS bursts through the DIMM's ``read_line_run``.  A
+        :class:`FaultError` stops the read at the faulting line and carries
+        the lines read before it as ``partial``.
         """
         self._check_aligned(address)
         if count <= 0:
             return b""
-        if not self.batch or count == 1:
-            return b"".join(
-                self.read_line(address + (i << 6)) for i in range(count)
-            )
+        if count == 1:
+            return self.read_line(address)
         parts = []
         queue = self._write_queue
         i = 0
-        while i < count:
-            line_address = address + (i << 6)
-            queued = queue.get(line_address)
-            if queued is not None:
-                # Store-to-load forwarding, same as the per-line path.
-                self.stats.forwarded_reads += 1
-                parts.append(queued)
-                i += 1
-                continue
-            j = i + 1
-            while j < count and (address + (j << 6)) not in queue:
-                j += 1
-            self._read_span(line_address, j - i, parts)
-            i = j
+        try:
+            while i < count:
+                line_address = address + (i << 6)
+                queued = queue.get(line_address)
+                if queued is not None:
+                    # Store-to-load forwarding, same as read_line.
+                    self.stats.forwarded_reads += 1
+                    parts.append(queued)
+                    i += 1
+                    continue
+                j = i + 1
+                while j < count and (address + (j << 6)) not in queue:
+                    j += 1
+                self._read_span(line_address, j - i, parts)
+                i = j
+        except FaultError as exc:
+            exc.partial = b"".join(parts)
+            raise
         return b"".join(parts)
 
     def _read_span(self, address: int, count: int, parts: list) -> None:
@@ -241,8 +242,8 @@ class MemoryController:
             device = self.dimms[coordinate.channel]
             bulk = run > 1 and getattr(device, "bulk_ok", None)
             if not (bulk and device.bulk_ok(address)):
-                # Reference single-line issue (also the MMIO/foreign-device
-                # path): identical to read_line minus the forwarding check.
+                # Single-line issue (also the MMIO/foreign-device path):
+                # identical to read_line minus the forwarding check.
                 result = self._issue_with_alert_retry(address, CommandType.RDCAS)
                 self.stats.reads += 1
                 self.stats.bytes_read += CACHELINE_SIZE
@@ -258,9 +259,16 @@ class MemoryController:
                     self.cycle += timing.turnaround_cycles
                 self._last_direction = "read"
                 first_cycle = self.cycle + cas
-                data, served, alerted = device.read_line_run(
-                    address, run, first_cycle, cas
-                )
+                fault = None
+                try:
+                    data, served, alerted = device.read_line_run(
+                        address, run, first_cycle, cas
+                    )
+                except FaultError as exc:
+                    # The run stops at the faulting line, like an S13 stop:
+                    # its issue is charged below, then the error propagates.
+                    fault = exc
+                    data, served, alerted = exc.partial, len(exc.partial) >> 6, True
                 issued = served + (1 if alerted else 0)
                 self.stats.row_hits += issued - 1
                 self.cycle += cas * issued
@@ -277,9 +285,11 @@ class MemoryController:
                     address += served << 6
                     run -= served
                     count -= served
+                if fault is not None:
+                    raise fault
                 if alerted:
                     # The alerting issue is already charged above; continue
-                    # the reference backoff/reissue loop for that line.
+                    # the backoff/reissue loop for that line.
                     result = self._alert_retry_continue(address, CommandType.RDCAS)
                     self.stats.reads += 1
                     self.stats.bytes_read += CACHELINE_SIZE
@@ -323,7 +333,7 @@ class MemoryController:
             run = min(n - i, self.mapping.run_length(line_address))
             coordinate = self.mapping.line_coordinate(line_address)
             device = self.dimms[coordinate.channel]
-            bulk = self.batch and run > 1 and getattr(device, "bulk_ok", None)
+            bulk = run > 1 and getattr(device, "bulk_ok", None)
             if not (bulk and device.bulk_ok(line_address)):
                 self._issue_write(line_address, datas[i])
                 i += 1
@@ -375,61 +385,44 @@ class MemoryController:
     def _issue_with_alert_retry(self, address: int, kind: CommandType) -> CasResult:
         """Issue a CAS, reissuing with exponential backoff on ALERT_N.
 
-        Shared by the rdCAS (S13) and SPAD_WB retry paths.  Backoff doubles
-        per retry up to ``timing.alert_backoff_cap``; when
+        Shared by the rdCAS (S13) and SPAD_WB retry paths.
+        """
+        result = self._issue_cas(address, kind, b"")
+        if result.alert:
+            result = self._alert_retry_continue(address, kind)
+        return result
+
+    def _alert_retry_continue(self, address: int, kind: CommandType) -> CasResult:
+        """The ALERT_N retry loop, entered after an issue alerted.
+
+        The alerting issue itself was already charged (cycle + trace
+        entry), by :meth:`_issue_with_alert_retry` or by a range read that
+        stopped at the pending line.  Each round counts the alert, backs
+        off, and reissues until the line serves.  Backoff doubles per
+        retry up to ``timing.alert_backoff_cap``; when
         ``timing.max_alert_retries`` reissues all come back asserted, the
         DSA is treated as wedged (the model's watchdog timeout) and a
         :class:`~repro.faults.errors.DsaWedgedError` carrying the address,
         retry count, and backoff cycles consumed is raised.
         """
-        result = self._issue_cas(address, kind, b"")
-        retries = 0
-        backoff = 0
-        while result.alert:
-            self.stats.alerts += 1
-            retries += 1
-            if retries > self.timing.max_alert_retries:
-                self.stats.wedges += 1
-                raise DsaWedgedError(
-                    "%s retry limit (%d) exceeded at 0x%x; DSA wedged"
-                    % (kind.value, self.timing.max_alert_retries, address),
-                    site=kind.value, address=address, retries=retries - 1,
-                    backoff_cycles=backoff,
-                )
-            # Exponential backoff: a stalled computation should not keep the
-            # channel busy with retry traffic.
-            step = self.timing.alert_retry_cycles * min(
-                1 << (retries - 1), self.timing.alert_backoff_cap
-            )
-            self.cycle += step
-            backoff += step
-            self.stats.alert_backoff_cycles += step
-            result = self._issue_cas(address, kind, b"")
-        return result
-
-    def _alert_retry_continue(self, address: int, kind: CommandType) -> CasResult:
-        """Resume the ALERT_N retry loop after a batched issue alerted.
-
-        The alerting issue itself was already charged by the caller
-        (cycle + trace entry), so this enters
-        :meth:`_issue_with_alert_retry`'s loop body directly: count the
-        alert, back off, reissue — until the line serves or the DSA wedges.
-        """
+        timing = self.timing
         retries = 0
         backoff = 0
         while True:
             self.stats.alerts += 1
             retries += 1
-            if retries > self.timing.max_alert_retries:
+            if retries > timing.max_alert_retries:
                 self.stats.wedges += 1
                 raise DsaWedgedError(
                     "%s retry limit (%d) exceeded at 0x%x; DSA wedged"
-                    % (kind.value, self.timing.max_alert_retries, address),
+                    % (kind.value, timing.max_alert_retries, address),
                     site=kind.value, address=address, retries=retries - 1,
                     backoff_cycles=backoff,
                 )
-            step = self.timing.alert_retry_cycles * min(
-                1 << (retries - 1), self.timing.alert_backoff_cap
+            # Exponential backoff: a stalled computation should not keep the
+            # channel busy with retry traffic.
+            step = timing.alert_retry_cycles * min(
+                1 << (retries - 1), timing.alert_backoff_cap
             )
             self.cycle += step
             backoff += step
@@ -444,15 +437,9 @@ class MemoryController:
             raise ValueError("unaligned line access at 0x%x" % address)
 
     def _drain_writes(self, target: int) -> None:
-        if not self.batch:
-            while len(self._write_queue) > target:
-                address, data = next(iter(self._write_queue.items()))
-                del self._write_queue[address]
-                self._issue_write(address, data)
-            return
-        # Batched drain: pop runs of entries that are consecutive both in
-        # insertion order and in address, then issue each run as one
-        # same-row burst.  Identical pop order to the reference loop.
+        # Pop runs of entries that are consecutive both in insertion order
+        # and in address, then issue each run as one same-row burst: the
+        # same pops, oldest first, as issuing one queued line at a time.
         queue = self._write_queue
         while len(queue) > target:
             items = iter(queue.items())
@@ -485,11 +472,7 @@ class MemoryController:
     def _issue_cas(self, address: int, kind: CommandType, data: bytes) -> CasResult:
         coordinate = self.mapping.line_coordinate(address)
         device = self.dimms[coordinate.channel]
-        if (
-            self.batch
-            and type(device) is PlainDIMM
-            and kind in (CommandType.RDCAS, CommandType.WRCAS)
-        ):
+        if type(device) is PlainDIMM and kind in (CommandType.RDCAS, CommandType.WRCAS):
             # Plain-DIMM direct path: no Command objects.  ACT/PRE/CAS at a
             # plain DIMM carry no device-side state (handle_command only
             # touches DRAM for CAS), so the burst goes straight to the

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dram.commands import CACHELINE_SIZE, PAGE_SIZE
+from repro.faults.errors import FaultError
 from repro.faults.plan import FaultSite
 
 
@@ -146,17 +147,23 @@ class PhysicalMemory:
     def read_lines(self, address: int, count: int) -> bytes:
         """Read `count` consecutive cachelines (== joining read_line calls).
 
-        With a fault plan attached this falls back to the per-line loop so
-        the ``dram.corrupt`` RNG stream sees one decision per line in the
-        same order as the reference path.
+        With a fault plan or RAS attached this reads line by line, so the
+        ``dram.corrupt`` stream draws once per line in line order and a
+        :class:`~repro.faults.errors.FaultError` (a poisoned line) stops
+        the read there, carrying the lines before it as ``partial``.
         """
         if address % CACHELINE_SIZE:
             raise ValueError("unaligned line read at 0x%x" % address)
-        if self._fault_plan is not None or self._ras is not None:
-            return b"".join(
-                self.read_line(address + (i << 6)) for i in range(count)
-            )
-        return self.read(address, count * CACHELINE_SIZE)
+        if self._fault_plan is None and self._ras is None:
+            return self.read(address, count * CACHELINE_SIZE)
+        parts = []
+        try:
+            for i in range(count):
+                parts.append(self.read_line(address + (i << 6)))
+        except FaultError as exc:
+            exc.partial = b"".join(parts)
+            raise
+        return b"".join(parts)
 
     def write_lines(self, address: int, data: bytes) -> None:
         """Write consecutive cachelines in one span."""

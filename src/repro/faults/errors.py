@@ -13,7 +13,15 @@ from __future__ import annotations
 
 
 class FaultError(RuntimeError):
-    """Base class for every typed failure raised by the SmartDIMM stack."""
+    """Base class for every typed failure raised by the SmartDIMM stack.
+
+    A fault that cuts a range read short carries ``partial``: the bytes of
+    the whole lines that read served before the faulting line.  Each layer
+    on the way up (DRAM, buffer device, controller, LLC) settles its state
+    for exactly those lines, as a per-line loop would have, and re-raises.
+    """
+
+    partial = b""
 
 
 class RetryBudgetExceeded(FaultError):

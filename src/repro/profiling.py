@@ -18,19 +18,16 @@ def run_profile(
     size: int = 65536,
     top: int = 25,
     sort: str = "cumulative",
-    fast_path: bool = True,
 ) -> str:
     """Profile one warmed TLS offload of `size` bytes; returns the report.
 
     `sort` is any :mod:`pstats` sort key (``cumulative``, ``tottime``, …).
-    ``fast_path=False`` profiles the per-line reference path instead — the
-    pair is how a fast-path change is shown to move the needle.
     """
     from repro.core.offload_api import SessionConfig, SmartDIMMSession
 
     key, nonce, aad = bytes(range(16)), bytes(range(12)), b"\x17\x03\x03"
     payload = bytes((7 * i + 3) & 0xFF for i in range(size))
-    session = SmartDIMMSession(SessionConfig(fast_path=fast_path))
+    session = SmartDIMMSession(SessionConfig())
     session.tls_encrypt(key, nonce, payload, aad)  # warm: tables, caches
     profiler = cProfile.Profile()
     profiler.enable()
@@ -55,17 +52,8 @@ def main(argv=None) -> int:
                         help="rows to print (default 25)")
     parser.add_argument("--sort", default="cumulative",
                         help="pstats sort key (default cumulative)")
-    parser.add_argument("--reference", action="store_true",
-                        help="profile the per-line reference path instead")
     args = parser.parse_args(argv)
-    print(
-        run_profile(
-            size=args.size,
-            top=args.top,
-            sort=args.sort,
-            fast_path=not args.reference,
-        )
-    )
+    print(run_profile(size=args.size, top=args.top, sort=args.sort))
     return 0
 
 

@@ -1,7 +1,8 @@
 """Write-queue semantics: forwarding, watermark draining, and bypass.
 
-The queue is the one piece of controller state both the per-line reference
-path and the batched fast path mutate, so its contract is pinned here for
+The queue is the one piece of controller state that both the production
+controller (batched drain, plain-DIMM direct path) and the per-line oracle
+in ``tests/reference_path.py`` mutate, so its contract is pinned here for
 both: reads forward the youngest queued copy, the high watermark drains
 down to ``WRITE_QUEUE_DRAIN_TO``, and ``write_line_now`` removes any queued
 copy before issuing.
@@ -13,18 +14,23 @@ from repro.dram.address import AddressMapping
 from repro.dram.commands import CACHELINE_SIZE
 from repro.dram.memory_controller import MemoryController, PlainDIMM, TimingParams
 from repro.dram.physical_memory import PhysicalMemory
+from tests.reference_path import reference_controller
 
 
-def _system(batch=True):
+def _system(reference=False, trace=False):
     mapping = AddressMapping(rows=1 << 8)
     memory = PhysicalMemory(min(mapping.total_capacity, 16 * 1024 * 1024))
-    mc = MemoryController(mapping, {0: PlainDIMM(memory)}, TimingParams(), batch=batch)
+    if reference:
+        mc = reference_controller(mapping, memory, TimingParams(), trace=trace)
+    else:
+        mc = MemoryController(mapping, {0: PlainDIMM(memory)}, TimingParams(),
+                              trace=trace)
     return mc, memory
 
 
-@pytest.fixture(params=[False, True], ids=["reference", "batch"])
+@pytest.fixture(params=[True, False], ids=["reference", "batch"])
 def system(request):
-    return _system(batch=request.param)
+    return _system(reference=request.param)
 
 
 def test_read_forwards_youngest_queued_write(system):
@@ -100,10 +106,10 @@ def test_fence_empties_queue(system):
 
 def test_batch_and_reference_paths_drain_identically():
     """Same workload on both paths: identical queue contents, stats, cycle,
-    and backing-memory state after a watermark drain plus a fence."""
+    trace, and backing-memory state after a watermark drain plus a fence."""
     results = []
-    for batch in (False, True):
-        mc, memory = _system(batch=batch)
+    for reference in (True, False):
+        mc, memory = _system(reference=reference, trace=True)
         for i in range(MemoryController.WRITE_QUEUE_HIGH_WATERMARK + 5):
             mc.write_line(i * CACHELINE_SIZE, bytes([(3 * i) % 251]) * 64)
         snapshot_queue = dict(mc._write_queue)
@@ -113,6 +119,7 @@ def test_batch_and_reference_paths_drain_identically():
                 snapshot_queue,
                 mc.stats,
                 mc.cycle,
+                mc.trace,
                 memory.read(0, (MemoryController.WRITE_QUEUE_HIGH_WATERMARK + 5) * 64),
             )
         )
