@@ -14,14 +14,11 @@ Commands:
   reports per seed.
 * ``overload`` — goodput-vs-offered-load sweep (0.5x-3x capacity) with the
   overload-control stack (deadlines, CoDel admission, bounded queues,
-  retry budgets) on vs off; byte-identical reports per seed, exits
-  non-zero if goodput at 2x falls below 70% of peak.
+  retry budgets) on vs off.
 * ``qos`` — multi-tenant noisy-neighbor sweep: an aggressor tenant at 3x
   its fair share (plus chaos) against well-behaved latency/standard
   tenants under DRR weighted-fair stations, strict-priority classes, and
-  per-tenant overload isolation; byte-identical reports per seed, exits
-  non-zero if any fairness gate fails (victim goodput, aggressor cap,
-  surge p99, cross-tenant retry-budget exhaustion).
+  per-tenant overload isolation.
 * ``profile`` — cProfile one warmed TLS offload through the
   micro-simulation (the instrument behind the batched range path).
 * ``replicate`` — replicated storage on the fleet: ABD quorum or chain
@@ -32,9 +29,7 @@ Commands:
 * ``ras`` — memory RAS + end-to-end integrity sweep: scrub-rate x
   SDC-rate grid (patrol scrub priced against goodput, CE->UE poison
   escalation, row retirement), per-lane DSA quarantine with probation
-  re-admission, and fleet SDC storms; byte-identical reports per seed,
-  exits non-zero if any integrity gate fails (undetected corruption,
-  scrub overhead ceiling, quarantine liveness).
+  re-admission, and fleet SDC storms.
 
 * ``matrix`` — the whole experiment matrix: every target's grid of
   (instance, seed) points fanned across a process pool (``--jobs N``)
@@ -42,17 +37,26 @@ Commands:
   serial payload byte-identically, rolls up cross-target statistics,
   and evaluates every acceptance gate.
 
-The sweep commands (``overload``, ``qos``, ``ras``) accept ``--check``:
-re-run the sweep and require the payload to match the committed
-``BENCH_*.json`` baseline byte-for-byte (missing or corrupt baselines
-exit non-zero with a one-line error, no traceback).  ``matrix --check``
-does the same for every target with a committed baseline in one run.
+The sweep commands (``overload``, ``qos``, ``ras``, ``replicate
+--sweep``) run one matrix target serially through one handler; each
+writes the payload its committed ``BENCH_*.json`` stores (``--json-out``)
+and exits non-zero when the target's gate fails.  The gates, baselines and
+tolerance rows live on the :class:`~repro.exp.targets.Target`, so
+``python -m repro matrix --check`` applies exactly the same verdicts.
+``--check`` (on ``overload``/``qos``/``ras``; ``matrix --check`` for
+every target at once) additionally holds the payload to the committed
+baseline: the target's tolerance rows first, naming any metric that
+moved more than 20%, then a byte-for-byte comparison.  Missing or
+corrupt baselines exit non-zero with a one-line error, no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+#: Matrix targets that are also subcommands of their own.
+SWEEP_COMMANDS = ("overload", "qos", "ras")
 
 
 def write_json_report(path: str, payload: str, label: str) -> None:
@@ -103,21 +107,26 @@ def _load_baseline(path: str, name: str) -> dict:
             % (name, path, exc))
 
 
-def _check_baseline(fresh_payload: str, path: str, name: str) -> int:
-    """Compare a fresh sweep payload against the committed baseline.
+def _check_baseline(target, payload: dict, path: str, baseline: dict) -> int:
+    """Hold a fresh target payload to its committed baseline.
 
-    Both sides are canonicalised through the same JSON encoding, so the
-    comparison is exact: any drift (different seed, different mode, or a
-    genuine behaviour change) fails with one line.
+    The target's tolerance rows are checked first, so a drift names the
+    metric that moved; then both sides are canonicalised through the same
+    JSON encoding and compared exactly, so any other drift (different
+    seed, different mode, or a genuine behaviour change) fails too.
     """
     import json
 
-    baseline = _load_baseline(path, name)
+    failures = target.tolerance_failures(baseline, payload)
+    for failure in failures:
+        print("FAIL: %s" % failure)
     canonical = json.dumps(baseline, indent=2, sort_keys=True) + "\n"
-    if canonical != fresh_payload:
+    if canonical != json.dumps(payload, indent=2, sort_keys=True) + "\n":
         print("FAIL: fresh %s run differs from committed %s "
               "(was it generated with the same seed and mode?)"
-              % (name, path))
+              % (target.name, path))
+        return 1
+    if failures:
         return 1
     print("baseline check passed: fresh run matches %s" % path)
     return 0
@@ -279,57 +288,37 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-def _cmd_overload(args) -> int:
-    from repro.overload import sweep
+def _run_sweep(name: str, seed: int, quick: bool, json_out: str,
+               check: str) -> int:
+    """Run one sweep target serially: render, write, check, then gate.
 
-    report = sweep.run_overload(seed=args.seed, quick=args.quick)
-    print(sweep.render(report))
-    if args.json_out:
-        write_json_report(args.json_out, sweep.to_json(report),
-                          "overload report")
-    if args.check is not None:
-        return _check_baseline(sweep.to_json(report), args.check, "overload")
-    summary = report["sweep"]["summary"]
-    ratio = summary["shed_2x_over_peak"] or 0.0
-    if ratio < 0.70:
-        print("FAIL: goodput at 2x offered load is %.0f%% of peak (< 70%%)"
-              % (100.0 * ratio))
-        return 1
-    return 0
+    The gate always applies; with `check` the payload must also hold to
+    the baseline at that path (loaded first, so a missing or corrupt
+    baseline fails before the run).
+    """
+    from repro.exp import build_matrix, run_matrix
+    from repro.exp.matrix import target_payload_json
+    from repro.exp.targets import get_target
 
-
-def _cmd_qos(args) -> int:
-    from repro.qos import sweep
-
-    report = sweep.run_qos(seed=args.seed, quick=args.quick)
-    print(sweep.render(report))
-    if args.json_out:
-        write_json_report(args.json_out, sweep.to_json(report), "qos report")
-    if args.check is not None:
-        return _check_baseline(sweep.to_json(report), args.check, "qos")
-    failures = sweep.gate_failures(report)
-    if failures:
-        for failure in failures:
-            print("FAIL: %s" % failure)
-        return 1
-    return 0
+    target = get_target(name)
+    baseline = _load_baseline(check, name) if check is not None else None
+    result = run_matrix(build_matrix(only=[name], seed=seed, quick=quick))
+    payload = result.payload["targets"][name]
+    print(target.render(payload))
+    if json_out:
+        write_json_report(json_out, target_payload_json(result, name),
+                          "%s report" % name)
+    status = 0
+    if baseline is not None:
+        status = _check_baseline(target, payload, check, baseline)
+    for failure in result.gate_failures:
+        print("FAIL: %s" % failure)
+    return 1 if result.gate_failures else status
 
 
-def _cmd_ras(args) -> int:
-    from repro.ras import sweep
-
-    report = sweep.run_ras(seed=args.seed, quick=args.quick)
-    print(sweep.render(report))
-    if args.json_out:
-        write_json_report(args.json_out, sweep.to_json(report), "ras report")
-    if args.check is not None:
-        return _check_baseline(sweep.to_json(report), args.check, "ras")
-    failures = sweep.gate_failures(report)
-    if failures:
-        for failure in failures:
-            print("FAIL: %s" % failure)
-        return 1
-    return 0
+def _cmd_sweep(args) -> int:
+    return _run_sweep(args.command, args.seed, args.quick, args.json_out,
+                      args.check)
 
 
 def _cmd_replicate(args) -> int:
@@ -338,22 +327,8 @@ def _cmd_replicate(args) -> int:
     from repro.replication.scenario import run_replication
 
     if args.sweep:
-        report = sweep.run_replication_suite(seed=args.seed, quick=args.quick)
-        print(sweep.render(report))
-        if args.json_out:
-            write_json_report(args.json_out, sweep.to_json(report),
-                              "replication report")
-        summary = report["summary"]
-        if summary["total_violations"]:
-            print("FAIL: %d consistency violations"
-                  % summary["total_violations"])
-            return 1
-        ratio = summary["smartdimm_over_cpu_goodput_fault"] or 0.0
-        if ratio <= 1.0:
-            print("FAIL: smartdimm goodput under fault is %.2fx cpu (<= 1x)"
-                  % ratio)
-            return 1
-        return 0
+        return _run_sweep("replication", args.seed, args.quick,
+                          args.json_out, None)
     scenario = sweep.replication_scenario(
         args.placement, args.protocol, args.seed,
         value_bytes=args.value_bytes,
@@ -377,7 +352,7 @@ def _cmd_replicate(args) -> int:
 
 def _cmd_matrix(args) -> int:
     from repro.exp import ResultCache, build_matrix, matrix_to_json, run_matrix
-    from repro.exp.matrix import render, target_payload_json
+    from repro.exp.matrix import render
     from repro.exp.targets import TARGETS, target_names
 
     if args.list:
@@ -400,6 +375,12 @@ def _cmd_matrix(args) -> int:
         raise SystemExit(
             "error: --check requires each target's default seed; drop --seed")
     specs = build_matrix(only=only, quick=args.quick, seed=args.seed)
+    baselines = {}
+    if args.check:
+        for name in sorted({spec.target for spec in specs}):
+            if TARGETS[name].baseline is not None:
+                baselines[name] = _load_baseline(TARGETS[name].baseline,
+                                                 name)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     result = run_matrix(specs, jobs=args.jobs, cache=cache,
                         force=args.force, progress=print)
@@ -408,13 +389,10 @@ def _cmd_matrix(args) -> int:
         write_json_report(args.json_out, matrix_to_json(result),
                           "matrix report")
     status = 0
-    if args.check:
-        for name in sorted(result.payload["targets"]):
-            baseline = TARGETS[name].baseline
-            if baseline is None:
-                continue
-            status |= _check_baseline(
-                target_payload_json(result, name), baseline, name)
+    for name, baseline in sorted(baselines.items()):
+        target = TARGETS[name]
+        status |= _check_baseline(target, result.payload["targets"][name],
+                                  target.baseline, baseline)
     if result.gate_failures:
         for failure in result.gate_failures:
             print("FAIL: %s" % failure)
@@ -430,6 +408,8 @@ def _cmd_profile(args) -> int:
 
 
 def main(argv=None) -> int:
+    from repro.exp.targets import get_target
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="SmartDIMM reproduction command-line interface",
@@ -504,51 +484,22 @@ def main(argv=None) -> int:
     chaos.add_argument("--json-out", default=None,
                        help="write the machine-readable report here "
                             "(default: print it after the summary)")
-    overload = sub.add_parser(
-        "overload",
-        help="goodput-vs-offered-load sweep: overload control on vs off",
-    )
-    overload.add_argument("--seed", type=int, default=11,
-                          help="drives arrivals and fault draws (default 11)")
-    overload.add_argument("--quick", action="store_true",
-                          help="reduced sweep (3 load factors, short window)")
-    overload.add_argument("--json-out", default=None,
-                          help="write the BENCH_overload.json payload here")
-    overload.add_argument("--check", nargs="?", const="BENCH_overload.json",
-                          default=None, metavar="BASELINE",
-                          help="require the payload to match the committed "
-                               "baseline byte-for-byte (default path "
-                               "BENCH_overload.json)")
-    qos = sub.add_parser(
-        "qos",
-        help="multi-tenant fairness sweep: noisy neighbor vs DRR isolation",
-    )
-    qos.add_argument("--seed", type=int, default=11,
-                     help="drives arrivals and fault draws (default 11)")
-    qos.add_argument("--quick", action="store_true",
-                     help="short measurement window (smoke-test speed)")
-    qos.add_argument("--json-out", default=None,
-                     help="write the BENCH_qos.json payload here")
-    qos.add_argument("--check", nargs="?", const="BENCH_qos.json",
-                     default=None, metavar="BASELINE",
-                     help="require the payload to match the committed "
-                          "baseline byte-for-byte (default path "
-                          "BENCH_qos.json)")
-    ras = sub.add_parser(
-        "ras",
-        help="memory RAS + integrity sweep: scrub x SDC grid, quarantine",
-    )
-    ras.add_argument("--seed", type=int, default=11,
-                     help="drives flip, SDC, and arrival draws (default 11)")
-    ras.add_argument("--quick", action="store_true",
-                     help="short grid and windows (smoke-test speed)")
-    ras.add_argument("--json-out", default=None,
-                     help="write the BENCH_ras.json payload here")
-    ras.add_argument("--check", nargs="?", const="BENCH_ras.json",
-                     default=None, metavar="BASELINE",
-                     help="require the payload to match the committed "
-                          "baseline byte-for-byte (default path "
-                          "BENCH_ras.json)")
+    for name in SWEEP_COMMANDS:
+        target = get_target(name)
+        command = sub.add_parser(name, help=target.description)
+        command.add_argument("--seed", type=int, default=target.default_seed,
+                             help="drives every simulated draw (default %d)"
+                                  % target.default_seed)
+        command.add_argument("--quick", action="store_true",
+                             help="reduced grid and short windows "
+                                  "(smoke-test speed)")
+        command.add_argument("--json-out", default=None,
+                             help="write the %s payload here" % target.baseline)
+        command.add_argument("--check", nargs="?", const=target.baseline,
+                             default=None, metavar="BASELINE",
+                             help="hold the payload to a committed baseline: "
+                                  "its tolerance rows, then byte-for-byte "
+                                  "(default path %s)" % target.baseline)
     replicate = sub.add_parser(
         "replicate",
         help="replicated storage on the fleet: ABD/chain with SmartDIMM hops",
@@ -600,9 +551,9 @@ def main(argv=None) -> int:
     matrix.add_argument("--json-out", default=None,
                         help="write the full matrix payload JSON here")
     matrix.add_argument("--check", action="store_true",
-                        help="require every target with a committed "
-                             "BENCH_*.json baseline to match it "
-                             "byte-for-byte")
+                        help="hold every target with a committed "
+                             "BENCH_*.json baseline to its tolerance rows, "
+                             "then byte-for-byte")
     matrix.add_argument("--list", action="store_true",
                         help="list targets and point counts, then exit")
     profile = sub.add_parser(
@@ -623,9 +574,7 @@ def main(argv=None) -> int:
         "power": _cmd_power,
         "cluster": _cmd_cluster,
         "chaos": _cmd_chaos,
-        "overload": _cmd_overload,
-        "qos": _cmd_qos,
-        "ras": _cmd_ras,
+        **{name: _cmd_sweep for name in SWEEP_COMMANDS},
         "replicate": _cmd_replicate,
         "matrix": _cmd_matrix,
         "profile": _cmd_profile,

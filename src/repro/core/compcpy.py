@@ -134,21 +134,30 @@ class CompCpy:
             self.force_recycle(pages)
             offload = self.driver.register_offload(kind, context, sbuf, dbuf, pages)
 
-        if ordered:
-            self.stats.ordered_copies += 1
-            for offset in range(0, size, CACHELINE_SIZE):
-                line = self.llc.load(sbuf + offset)
-                self.llc.store(dbuf + offset, line)
-                self.mc.fence()  # membar between 64-byte segments
-        else:
-            self.llc.copy_range(sbuf, dbuf, size // CACHELINE_SIZE)
+        try:
+            if ordered:
+                self.stats.ordered_copies += 1
+                for offset in range(0, size, CACHELINE_SIZE):
+                    line = self.llc.load(sbuf + offset)
+                    self.llc.store(dbuf + offset, line)
+                    self.mc.fence()  # membar between 64-byte segments
+            else:
+                self.llc.copy_range(sbuf, dbuf, size // CACHELINE_SIZE)
 
-        # USE(dbuf): flush so subsequent reads see the DSA's output, not the
-        # plaintext copies the memcpy left dirty in the LLC.  The writebacks
-        # this triggers are the self-recycle traffic of Sec. IV-B.
-        if flush_destination:
-            self.llc.flush_range(dbuf, size)
-            self.mc.fence()
+            # USE(dbuf): flush so subsequent reads see the DSA's output, not
+            # the plaintext copies the memcpy left dirty in the LLC.  The
+            # writebacks this triggers are the self-recycle traffic of
+            # Sec. IV-B.
+            if flush_destination:
+                self.llc.flush_range(dbuf, size)
+                self.mc.fence()
+        except Exception:
+            # The caller never receives the handle (e.g. a PoisonError from
+            # a poisoned source line), so tear the live registration down
+            # here; otherwise its pages stay registered and the next
+            # offload on them fails.
+            self.driver.abort_offload(offload)
+            raise
         self.stats.calls += 1
         self.stats.pages_offloaded += pages
         self.retry_budget.on_success()  # completed copies refill the bucket

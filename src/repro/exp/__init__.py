@@ -8,10 +8,11 @@ matrix of :class:`~repro.exp.spec.RunSpec` points:
 * :mod:`repro.exp.spec` — the frozen, hashable description of one
   experiment point (target x instance x seed x params).
 * :mod:`repro.exp.targets` — the target registry: each target enumerates
-  its points, runs one point purely (``run_point(spec) -> dict``), and
-  rolls the point results back up into the exact payload its legacy CLI
-  writes (``BENCH_overload.json`` et al.), so ``matrix --check`` can
-  compare roll-ups byte-for-byte against the committed baselines.
+  its points, runs one point purely (``run_point(spec) -> dict``), rolls
+  the point results back up into the exact payload its committed
+  baseline stores (``BENCH_overload.json`` et al.), and owns the verdict
+  on it: its gate and its baseline tolerance rows, which ``matrix
+  --check`` applies before comparing roll-ups byte-for-byte.
 * :mod:`repro.exp.pool` — the ``multiprocessing`` run-pool that fans
   points out across cores.  Workers share no RNG state: every point
   derives everything from its spec, so ``--jobs N`` output is

@@ -14,14 +14,13 @@ and serial runs stay byte-identical.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 
 from repro.exp.cache import ResultCache, code_digest
 from repro.exp.pool import run_points
 from repro.exp.spec import RunSpec
-from repro.exp.targets import TARGETS, get_target, target_names
+from repro.exp.targets import TARGETS, geomean, get_target, target_names
 
 
 @dataclass
@@ -52,13 +51,6 @@ def build_matrix(only=None, quick: bool = False, seed: int = None) -> list:
     return specs
 
 
-def _geomean(values) -> float:
-    values = [v for v in values if v and v > 0.0]
-    if not values:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
 def _statistics(rollups: dict, headlines: dict, specs: list) -> dict:
     """Cross-target rollup: the one-number summaries of the whole matrix."""
     ratios = {
@@ -72,7 +64,7 @@ def _statistics(rollups: dict, headlines: dict, specs: list) -> dict:
     return {
         "points": len(specs),
         "targets": sorted(rollups),
-        "geomean_smartdimm_over_cpu": _geomean(ratios.values()),
+        "geomean_smartdimm_over_cpu": geomean(ratios.values()),
         "smartdimm_over_cpu_by_target": ratios,
     }
 

@@ -1,11 +1,14 @@
 """The experiment-matrix target registry.
 
-A :class:`Target` is one figure family: it enumerates its points
-(``points``), runs one point purely (``run_point``), reassembles point
-results into the payload its legacy CLI writes (``rollup``), distils the
-headline numbers the cross-target statistics roll up (``headline``), and
-names the *code-relevant* source prefixes its cache digest covers
-(``code_deps`` — an edit outside them keeps every cached point valid).
+A :class:`Target` is one figure family and the single owner of its
+verdict: it enumerates its points (``points``), runs one point purely
+(``run_point``), reassembles point results into the payload its
+``BENCH_*.json`` baseline stores (``rollup``), distils the headline
+numbers the cross-target statistics roll up (``headline``), judges the
+payload (``gate``), names its committed ``baseline`` and the
+``tolerances`` that baseline is held to, and names the *code-relevant*
+source prefixes its cache digest covers (``code_deps`` — an edit outside
+them keeps every cached point valid).
 
 Seven targets mirror the seven sweeps:
 
@@ -18,14 +21,14 @@ Seven targets mirror the seven sweeps:
 * ``faults`` — whole-stack chaos (``python -m repro chaos``) across
   several seeds; the rollup requires zero escaped corruption.
 * ``overload`` / ``replication`` / ``qos`` / ``ras`` — the extension
-  sweeps, delegating to their sweep modules' ``run_point``/``rollup``
-  (the CLIs wrap the very same functions serially).
+  sweeps, delegating points, rollup and gate to their sweep modules
+  (``matrix_points`` / ``run_point`` / ``rollup`` / ``gate_failures``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exp.spec import RunSpec
 
@@ -34,6 +37,18 @@ _MICRO_DEPS = ("repro.core", "repro.ulp", "repro.dram", "repro.cache",
                "repro.cpu", "repro.workloads", "repro.faults")
 _FLEET_DEPS = ("repro.cluster", "repro.sim", "repro.overload", "repro.qos",
                "repro.accel", "repro.net", "repro.apps")
+
+#: Fractional drift from the committed baseline every tolerance row allows.
+TOLERANCE = 0.20
+
+
+def _lookup(payload: dict, path: str):
+    """The value at a dotted `path` in `payload`, or None when absent."""
+    for key in path.split("."):
+        if not isinstance(payload, dict) or key not in payload:
+            return None
+        payload = payload[key]
+    return payload
 
 
 @dataclass(frozen=True)
@@ -50,6 +65,8 @@ class Target:
     headline: callable        # rollup payload -> {metric: value}
     gate: callable = None     # rollup payload -> [failure, ...] (or None)
     baseline: str = None      # committed BENCH file the rollup must match
+    tolerances: tuple = ()    # ((dotted payload path, "min"|"max"), ...)
+    render: callable = None   # rollup payload -> human summary (or None)
 
     def specs(self, seed: int = None, quick: bool = False) -> list:
         """This target's full point grid as RunSpecs (None = default seed)."""
@@ -57,8 +74,42 @@ class Target:
         return [RunSpec.make(self.name, instance, seed, quick=quick)
                 for instance in self.points(seed, quick)]
 
+    def tolerance_failures(self, baseline: dict, fresh: dict) -> list:
+        """Tolerance rows on which `fresh` drifted from `baseline`.
 
-def _geomean(values) -> float:
+        A ``min`` row fails when the fresh value drops below
+        ``(1 - TOLERANCE)`` x the baseline value, a ``max`` row when it
+        grows above ``(1 + TOLERANCE)`` x.  A row the baseline lacks is
+        skipped; a row the fresh payload lacks fails.
+        """
+        failures = []
+        for path, direction in self.tolerances:
+            base_value = _lookup(baseline, path)
+            if base_value is None:
+                continue
+            fresh_value = _lookup(fresh, path)
+            if fresh_value is None:
+                failures.append("%s: %s missing from fresh run"
+                                % (self.name, path))
+            elif direction == "min":
+                floor = (1.0 - TOLERANCE) * base_value
+                if fresh_value < floor:
+                    failures.append(
+                        "%s: %s %.6g < floor %.6g (baseline %.6g, -%.0f%%)"
+                        % (self.name, path, fresh_value, floor, base_value,
+                           100.0 * (1.0 - fresh_value / base_value)))
+            else:
+                ceiling = (1.0 + TOLERANCE) * base_value
+                if fresh_value > ceiling:
+                    failures.append(
+                        "%s: %s %.6g > ceiling %.6g (baseline %.6g, +%.0f%%)"
+                        % (self.name, path, fresh_value, ceiling, base_value,
+                           100.0 * (fresh_value / base_value - 1.0)))
+        return failures
+
+
+def geomean(values) -> float:
+    """Geometric mean of the positive entries of `values` (0.0 if none)."""
     values = [v for v in values if v and v > 0.0]
     if not values:
         return 0.0
@@ -142,7 +193,7 @@ def _datapath_rollup(results: dict, seed: int, quick: bool) -> dict:
         crossover[ulp][size_key]["smartdimm"]["speedup_vs_cpu"]
         for ulp in crossover for size_key in crossover[ulp]]
     summary = {
-        "geomean_smartdimm_speedup_vs_cpu": _geomean(smartdimm_speedups),
+        "geomean_smartdimm_speedup_vs_cpu": geomean(smartdimm_speedups),
         "corun_best_isolation": min(
             corun_rows, key=lambda p: corun_rows[p]["nginx_slowdown"]),
         "corun_smartdimm_nginx_slowdown": (
@@ -270,7 +321,7 @@ def _faults_rollup(results: dict, seed: int, quick: bool) -> dict:
             results["chaos/seed%d" % (seed + offset)] for offset in arms}
     corruption = sum(run["micro"]["corruption_observed"]
                      for run in runs.values())
-    availability = _geomean(
+    availability = geomean(
         [run["cluster"]["chaos"]["availability"] for run in runs.values()])
     summary = {
         "corruption_observed_default_seed": (
@@ -309,39 +360,38 @@ def _faults_gate(payload: dict) -> list:
 # -- the extension sweeps delegate to their modules ----------------------------------
 
 
-def _sweep_target(name, module_path, description, deps, default_seed,
-                  headline, gate, baseline):
-    """Build a Target whose point/rollup functions live in a sweep module."""
+def _sweep_target(name, description, deps, default_seed, headline,
+                  tolerances):
+    """Build a Target whose points, rollup and gate live in ``repro.<name>.sweep``.
+
+    The module is imported on first use, so building the registry stays
+    cheap for callers that only list targets.
+    """
     import importlib
 
-    def points(seed, quick):
-        return importlib.import_module(module_path).matrix_points(seed, quick)
+    def module():
+        return importlib.import_module("repro.%s.sweep" % name)
 
-    def run_point(spec):
-        return importlib.import_module(module_path).run_point(spec)
+    def gate(payload):
+        return ["%s: %s" % (name, failure)
+                for failure in module().gate_failures(payload)]
 
-    def rollup(results, seed, quick):
-        return importlib.import_module(module_path).rollup(results, seed,
-                                                           quick)
-
-    return Target(name=name, description=description, code_deps=deps,
-                  default_seed=default_seed, points=points,
-                  run_point=run_point, rollup=rollup, headline=headline,
-                  gate=gate, baseline=baseline)
+    return Target(
+        name=name, description=description, code_deps=deps,
+        default_seed=default_seed,
+        points=lambda seed, quick: module().matrix_points(seed, quick),
+        run_point=lambda spec: module().run_point(spec),
+        rollup=lambda results, seed, quick: module().rollup(results, seed,
+                                                            quick),
+        headline=headline, gate=gate, baseline="BENCH_%s.json" % name,
+        tolerances=tolerances,
+        render=lambda payload: module().render(payload))
 
 
 def _overload_headline(payload: dict) -> dict:
     summary = payload["sweep"]["summary"]
     return {"shed_2x_over_peak": summary["shed_2x_over_peak"],
             "capacity_rps": summary["capacity_rps"]}
-
-
-def _overload_gate(payload: dict) -> list:
-    ratio = payload["sweep"]["summary"]["shed_2x_over_peak"] or 0.0
-    if ratio < 0.70:
-        return ["overload: goodput at 2x offered load is %.0f%% of peak "
-                "(< 70%%)" % (100.0 * ratio)]
-    return []
 
 
 def _replication_headline(payload: dict) -> dict:
@@ -353,30 +403,10 @@ def _replication_headline(payload: dict) -> dict:
     }
 
 
-def _replication_gate(payload: dict) -> list:
-    summary = payload["summary"]
-    failures = []
-    if summary["total_violations"]:
-        failures.append("replication: %d consistency violations (must be 0)"
-                        % summary["total_violations"])
-    ratio = summary["smartdimm_over_cpu_goodput_fault"] or 0.0
-    if ratio <= 1.0:
-        failures.append(
-            "replication: smartdimm goodput under fault is %.2fx cpu (<= 1x)"
-            % ratio)
-    return failures
-
-
 def _qos_headline(payload: dict) -> dict:
     summary = payload["fairness"]["summary"]
     return {"victim_goodput_ratio": summary["victim_goodput_ratio"],
             "aggressor_capped": summary["aggressor_capped"]}
-
-
-def _qos_gate(payload: dict) -> list:
-    from repro.qos import sweep
-
-    return ["qos: " + failure for failure in sweep.gate_failures(payload)]
 
 
 def _ras_headline(payload: dict) -> dict:
@@ -385,12 +415,6 @@ def _ras_headline(payload: dict) -> dict:
         "grid_undetected": summary["grid_undetected"],
         "scrub_overhead_default": summary["scrub_overhead_default"],
     }
-
-
-def _ras_gate(payload: dict) -> list:
-    from repro.ras import sweep
-
-    return ["ras: " + failure for failure in sweep.gate_failures(payload)]
 
 
 # -- the registry --------------------------------------------------------------------
@@ -434,28 +458,40 @@ TARGETS = {
             gate=_faults_gate,
         ),
         _sweep_target(
-            "overload", "repro.overload.sweep",
+            "overload",
             "goodput-vs-offered-load: control on vs off, retry "
             "amplification, chaos composition",
             ("repro.overload",) + _FLEET_DEPS + _MICRO_DEPS, 11,
-            _overload_headline, _overload_gate, "BENCH_overload.json"),
+            _overload_headline,
+            (("sweep.summary.capacity_rps", "min"),
+             ("sweep.summary.peak_goodput_shed_rps", "min"),
+             ("sweep.summary.goodput_2x_shed_rps", "min"))),
         _sweep_target(
-            "replication", "repro.replication.sweep",
+            "replication",
             "replicated storage: protocol x placement under chaos",
             ("repro.replication",) + _FLEET_DEPS + _MICRO_DEPS, 7,
-            _replication_headline, _replication_gate,
-            "BENCH_replication.json"),
+            _replication_headline,
+            (("summary.smartdimm_over_cpu_goodput_fault", "min"),
+             ("summary.abd_smartdimm_goodput_fault_rps", "min"),
+             ("summary.chain_smartdimm_goodput_fault_rps", "min"))),
         _sweep_target(
-            "qos", "repro.qos.sweep",
+            "qos",
             "multi-tenant fairness: noisy neighbor vs DRR isolation",
             ("repro.qos",) + _FLEET_DEPS + _MICRO_DEPS, 11,
-            _qos_headline, _qos_gate, "BENCH_qos.json"),
+            _qos_headline,
+            (("fairness.summary.capacity_rps", "min"),
+             ("fairness.summary.victim_goodput_ratio", "min"),
+             ("fairness.summary.victim_goodput_ratio_chaos", "min"))),
         _sweep_target(
-            "ras", "repro.ras.sweep",
+            "ras",
             "memory RAS + integrity: scrub x SDC grid, quarantine, fleet "
             "storms",
             ("repro.ras",) + _MICRO_DEPS + _FLEET_DEPS, 11,
-            _ras_headline, _ras_gate, "BENCH_ras.json"),
+            _ras_headline,
+            (("summary.grid_detection_coverage", "min"),
+             ("summary.grid_retired_rows", "min"),
+             ("summary.fleet_detected_full_coverage", "min"),
+             ("summary.scrub_overhead_default", "max"))),
     )
 }
 

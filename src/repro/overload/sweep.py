@@ -1,7 +1,7 @@
 """The goodput-vs-offered-load sweep behind ``python -m repro overload``.
 
 Three deterministic sections, written to ``BENCH_overload.json`` and gated
-by ``benchmarks/perf/check_regression.py``:
+by ``python -m repro matrix --check`` (:func:`gate_failures`):
 
 * **sweep** — open-loop Poisson TLS traffic against a 2-server rack at
   0.5x-3x the analytic fixed-point capacity, once with the full overload
@@ -24,13 +24,11 @@ by ``benchmarks/perf/check_regression.py``:
   still meet deadlines).
 
 Determinism contract: every number derives from seeded simulation — two
-runs with the same seed produce byte-identical :func:`to_json` payloads
+runs with the same seed produce byte-identical payloads
 (``tests/overload/test_overload_smoke.py``).
 """
 
 from __future__ import annotations
-
-import json
 
 from repro.cluster.chaos import FaultWindow, FleetFaultInjector
 from repro.cluster.scenario import ClusterScenario, run_scenario
@@ -42,6 +40,13 @@ LOAD_FACTORS = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
 
 #: The reduced sweep used by the tier-1 smoke test (<10 s).
 QUICK_LOAD_FACTORS = (0.5, 1.0, 2.0)
+
+#: Acceptance floor: controlled goodput at 2x offered load vs peak.
+GOODPUT_FLOOR = 0.70
+
+#: Ceiling on the *uncontrolled* 2x/peak ratio: the collapse the sweep must
+#: demonstrate, or it is not exercising overload at all.
+COLLAPSE_CEILING = 0.35
 
 #: Relative deadline applied to every request — ~10x the unloaded
 #: service time of the 16 KB TLS request this sweep drives.
@@ -143,7 +148,7 @@ def sweep_rollup(curves: dict, capacity: float) -> dict:
         "peak_goodput_noshed_rps": peak_noshed,
         "goodput_2x_shed_rps": at2x_shed,
         "goodput_2x_noshed_rps": at2x_noshed,
-        # The acceptance ratios check_regression.py gates on.
+        # The acceptance ratios gate_failures() judges.
         "shed_2x_over_peak": (
             at2x_shed / peak_shed if at2x_shed is not None and peak_shed else None),
         "noshed_2x_over_peak": (
@@ -151,17 +156,6 @@ def sweep_rollup(curves: dict, capacity: float) -> dict:
             if at2x_noshed is not None and peak_noshed else None),
     }
     return {"curves": curves, "summary": summary}
-
-
-def run_sweep(seed: int = 11, load_factors=LOAD_FACTORS,
-              duration_s: float = 0.02, warmup_s: float = 0.005) -> dict:
-    """Goodput-vs-offered-load, shedding on and off."""
-    curves = {
-        name: [run_sweep_point(factor, control, seed, duration_s, warmup_s)
-               for factor in load_factors]
-        for name, control in (("shed", True), ("noshed", False))
-    }
-    return sweep_rollup(curves, fleet_capacity_rps(seed))
 
 
 # -- retry amplification (micro) -----------------------------------------------------
@@ -299,29 +293,22 @@ def rollup(results: dict, seed: int, quick: bool) -> dict:
     return report
 
 
-# -- the full report -----------------------------------------------------------------
-
-
-def run_overload(seed: int = 11, quick: bool = False) -> dict:
-    """The complete ``python -m repro overload`` payload.
-
-    A thin serial wrapper over the same pure points the experiment-matrix
-    harness fans out: each instance runs in submission order in this
-    process, then :func:`rollup` assembles the payload.
-    """
-    from repro.exp.spec import RunSpec
-
-    results = {
-        instance: run_point(RunSpec.make("overload", instance, seed,
-                                         quick=quick))
-        for instance in matrix_points(seed, quick)
-    }
-    return rollup(results, seed, quick)
-
-
-def to_json(report: dict) -> str:
-    """The deterministic serialisation written to BENCH_overload.json."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+def gate_failures(report: dict) -> list:
+    """Why this report fails the overload gate (empty = pass)."""
+    summary = report["sweep"]["summary"]
+    failures = []
+    shed_ratio = summary["shed_2x_over_peak"] or 0.0
+    if shed_ratio < GOODPUT_FLOOR:
+        failures.append(
+            "goodput at 2x offered load is %.0f%% of peak (< %.0f%%)"
+            % (100.0 * shed_ratio, 100.0 * GOODPUT_FLOOR))
+    noshed_ratio = summary["noshed_2x_over_peak"] or 0.0
+    if noshed_ratio > COLLAPSE_CEILING:
+        failures.append(
+            "uncontrolled goodput at 2x is %.0f%% of peak (> %.0f%%): the "
+            "sweep no longer demonstrates collapse"
+            % (100.0 * noshed_ratio, 100.0 * COLLAPSE_CEILING))
+    return failures
 
 
 def render(report: dict) -> str:

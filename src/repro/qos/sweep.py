@@ -3,8 +3,8 @@
 One aggressive tenant against two well-behaved ones, on a DEFLATE-16KB
 SmartDIMM rack with the full QoS stack (DRR stations, strict-priority
 classes, per-tenant CoDel/brownout, per-tenant queue bounds).  Sections,
-written to ``BENCH_qos.json`` and gated by
-``benchmarks/perf/check_regression.py``:
+written to ``BENCH_qos.json`` and gated by ``python -m repro matrix
+--check`` (:func:`gate_failures`):
 
 * **isolated** — each tenant alone at exactly the offered rate it will
   use in the shared runs: its no-interference baseline goodput.
@@ -14,7 +14,8 @@ written to ``BENCH_qos.json`` and gated by
   capped near its fair share of capacity.
 * **attack_fifo** — the contrast arm: same tenants, FIFO stations and
   shared (non-isolated) overload state.  Shows what the DRR/isolation
-  machinery buys; not gated, just reported.
+  machinery buys; gated only to keep demonstrating the damage (victim
+  below :data:`FIFO_DAMAGE_CEILING` of its isolated goodput).
 * **attack_chaos** — the attack plus a ``node_down`` + ``channel_wedge``
   composition from :mod:`repro.cluster.chaos`: isolation must survive
   component failure too (victim goodput ratio gated against the same
@@ -33,13 +34,11 @@ a lower effort level, so the effective compression ratio worsens by
 :data:`BROWNOUT_RATIO_PENALTY` on the browned-out fraction of traffic —
 the "quality delta" the ISSUE's degraded-mode accounting asks for.
 
-Determinism contract: identical seeds produce byte-identical
-:func:`to_json` payloads (``tests/qos/test_qos_smoke.py``).
+Determinism contract: identical seeds produce byte-identical payloads
+(``tests/qos/test_qos_smoke.py``).
 """
 
 from __future__ import annotations
-
-import json
 
 from repro.cluster.chaos import FaultWindow, FleetFaultInjector
 from repro.cluster.loadgen import measured_deflate_ratio
@@ -60,6 +59,10 @@ VICTIM_FACTOR = 0.8
 #: idle victims' slack to the aggressor, so "near fair share" is judged
 #: against what the victims left on the table, plus this tolerance).
 AGGRESSOR_CAP_TOLERANCE = 1.25
+
+#: Ceiling on the FIFO arm's victim goodput ratio: the interference the
+#: sweep must demonstrate (well below the DRR arm's 85% floor).
+FIFO_DAMAGE_CEILING = 0.75
 
 #: Compressed/original ratio multiplier for browned-out DEFLATE service
 #: (reduced match effort, same fixed-Huffman banked matcher).
@@ -406,43 +409,6 @@ def rollup(results: dict, seed: int, quick: bool) -> dict:
     }
 
 
-# -- the full report -----------------------------------------------------------------
-
-
-def run_fairness(seed: int, duration_s: float, warmup_s: float) -> dict:
-    """Isolated baselines, the attack, the FIFO contrast, and chaos."""
-    isolated = {
-        name: run_isolated_point(name, seed, duration_s, warmup_s)
-        for name in TENANT_NAMES
-    }
-    return fairness_rollup(
-        isolated,
-        run_attack_point(seed, duration_s, warmup_s),
-        run_fifo_point(seed, duration_s, warmup_s),
-        run_chaos_point(seed, duration_s, warmup_s),
-        run_surge_point(seed, duration_s, warmup_s))
-
-
-def run_qos(seed: int = 11, quick: bool = False) -> dict:
-    """The complete ``python -m repro qos`` payload.
-
-    A thin serial wrapper over the same pure points the experiment-matrix
-    harness fans out across cores.
-    """
-    from repro.exp.spec import RunSpec
-
-    results = {
-        instance: run_point(RunSpec.make("qos", instance, seed, quick=quick))
-        for instance in matrix_points(seed, quick)
-    }
-    return rollup(results, seed, quick)
-
-
-def to_json(report: dict) -> str:
-    """The deterministic serialisation written to BENCH_qos.json."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
 def gate_failures(report: dict) -> list:
     """Why this report fails the fairness gate (empty = pass)."""
     summary = report["fairness"]["summary"]
@@ -478,6 +444,12 @@ def gate_failures(report: dict) -> list:
         failures.append(
             "victim denied %d retries because the shared pool was drained "
             "(cross-tenant budget exhaustion)" % retry["victim_denied_parent"])
+    if summary["victim_goodput_ratio_fifo"] > FIFO_DAMAGE_CEILING:
+        failures.append(
+            "FIFO-arm victim keeps %.0f%% of isolated goodput (> %.0f%%): "
+            "the sweep no longer demonstrates interference"
+            % (100.0 * summary["victim_goodput_ratio_fifo"],
+               100.0 * FIFO_DAMAGE_CEILING))
     return failures
 
 

@@ -1,7 +1,7 @@
 """The memory-RAS / end-to-end-integrity sweep behind ``python -m repro ras``.
 
 Three experiments, written to ``BENCH_ras.json`` and gated by
-``benchmarks/perf/check_regression.py``:
+``python -m repro matrix --check`` (:func:`gate_failures`):
 
 * **grid** — scrub-rate x SDC-rate over the micro stack: every cell runs
   TLS offloads against a session with latent ``dram.cell_flip`` deposits
@@ -30,13 +30,12 @@ Three experiments, written to ``BENCH_ras.json`` and gated by
   :class:`~repro.dram.ras.MemoryRas` with a node-seeded flip stream and
   reports scrub/CE/retirement/poison counters.
 
-Determinism contract: identical seeds produce byte-identical
-:func:`to_json` payloads (``tests/ras/test_ras_smoke.py``).
+Determinism contract: identical seeds produce byte-identical payloads
+(``tests/ras/test_ras_smoke.py``).
 """
 
 from __future__ import annotations
 
-import json
 import random
 import zlib
 
@@ -168,17 +167,6 @@ def _micro_cell(seed: int, scrub_lines: int, sdc_rate: float,
         "at_risk_lines": at_risk,
         "onloaded_ops": session.resilience_stats.onloaded_ops,
         "ras": ras,
-    }
-
-
-def run_grid(seed: int, ops: int) -> dict:
-    """The scrub-rate x SDC-rate matrix."""
-    return {
-        arm: {
-            "%g" % rate: _micro_cell(seed, scrub_lines, rate, ops)
-            for rate in SDC_RATES
-        }
-        for arm, scrub_lines in SCRUB_ARMS
     }
 
 
@@ -447,24 +435,6 @@ def rollup(results: dict, seed: int, quick: bool) -> dict:
     return report
 
 
-# -- the full report -----------------------------------------------------------------
-
-
-def run_ras(seed: int = 11, quick: bool = False) -> dict:
-    """The complete ``python -m repro ras`` payload.
-
-    A thin serial wrapper over the same pure points the experiment-matrix
-    harness fans out across cores.
-    """
-    from repro.exp.spec import RunSpec
-
-    results = {
-        instance: run_point(RunSpec.make("ras", instance, seed, quick=quick))
-        for instance in matrix_points(seed, quick)
-    }
-    return rollup(results, seed, quick)
-
-
 def _summary(report: dict) -> dict:
     grid = report["grid"]
     sdc = report["sdc"]
@@ -504,11 +474,6 @@ def _summary(report: dict) -> dict:
         "fleet_detected_full_coverage": (
             fleet["full_coverage"]["sdc_detected"]),
     }
-
-
-def to_json(report: dict) -> str:
-    """The deterministic serialisation written to BENCH_ras.json."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def gate_failures(report: dict) -> list:

@@ -7,16 +7,31 @@ byte-identically under the same seed.  Runs in a few seconds; select with
 ``-m overload``.
 """
 
+import json
+
 import pytest
 
-from repro.overload.sweep import DEADLINE_S, run_overload, to_json
+from repro.exp import build_matrix, run_matrix
+from repro.overload.sweep import DEADLINE_S, gate_failures
 
 pytestmark = pytest.mark.overload
 
 
+def run_overload(seed: int) -> dict:
+    """The quick overload payload, run serially through the experiment matrix."""
+    result = run_matrix(build_matrix(only=["overload"], seed=seed, quick=True),
+                        jobs=1)
+    return result.payload["targets"]["overload"]
+
+
+def canonical(report: dict) -> str:
+    """The payload serialised the way its BENCH file stores it."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.fixture(scope="module")
 def report():
-    return run_overload(seed=11, quick=True)
+    return run_overload(11)
 
 
 def curve_point(report, curve, factor):
@@ -27,6 +42,9 @@ def curve_point(report, curve, factor):
 
 
 class TestGracefulDegradation:
+    def test_sweep_passes_its_own_gate(self, report):
+        assert gate_failures(report) == []
+
     def test_goodput_at_2x_holds_70_percent_of_peak(self, report):
         assert report["sweep"]["summary"]["shed_2x_over_peak"] >= 0.70
 
@@ -70,8 +88,8 @@ class TestRetryAmplification:
 
 class TestDeterminism:
     def test_same_seed_byte_identical_payload(self, report):
-        again = run_overload(seed=11, quick=True)
-        assert to_json(again) == to_json(report)
+        again = run_overload(11)
+        assert canonical(again) == canonical(report)
 
     def test_different_seed_differs(self, report):
-        assert to_json(run_overload(seed=12, quick=True)) != to_json(report)
+        assert canonical(run_overload(12)) != canonical(report)

@@ -6,16 +6,31 @@ contrast damage, and reproduce byte-identically under the same seed.
 Runs in tens of seconds; select with ``-m qos``.
 """
 
+import json
+
 import pytest
 
-from repro.qos.sweep import gate_failures, run_qos, to_json
+from repro.exp import build_matrix, run_matrix
+from repro.qos.sweep import gate_failures
 
 pytestmark = pytest.mark.qos
 
 
+def run_qos(seed: int) -> dict:
+    """The quick qos payload, run serially through the experiment matrix."""
+    result = run_matrix(build_matrix(only=["qos"], seed=seed, quick=True),
+                        jobs=1)
+    return result.payload["targets"]["qos"]
+
+
+def canonical(report: dict) -> str:
+    """The payload serialised the way its BENCH file stores it."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.fixture(scope="module")
 def report():
-    return run_qos(seed=11, quick=True)
+    return run_qos(11)
 
 
 class TestFairnessGate:
@@ -59,8 +74,8 @@ class TestRetryIsolation:
 
 class TestDeterminism:
     def test_same_seed_byte_identical_payload(self, report):
-        again = run_qos(seed=11, quick=True)
-        assert to_json(again) == to_json(report)
+        again = run_qos(11)
+        assert canonical(again) == canonical(report)
 
     def test_different_seed_differs(self, report):
-        assert to_json(run_qos(seed=12, quick=True)) != to_json(report)
+        assert canonical(run_qos(12)) != canonical(report)

@@ -114,6 +114,35 @@ class TestPoisonEscalation:
         assert stats.dsa_lines_processed == 0
         assert stats.offloads_finalized == 0
 
+    def test_poisoned_source_does_not_leak_the_offload(self):
+        """A poison raised after registration aborts the offload inside
+        CompCpy, so the onloaded op leaves no live registration behind and
+        the next op on the same pages offloads cleanly."""
+        session = SmartDIMMSession(SessionConfig(
+            memory_bytes=16 * 1024 * 1024, llc_bytes=512 * 1024,
+            fault_plan=FaultPlan(seed=1), ras=RasConfig(),
+        ))
+        flush_range = session.llc.flush_range
+        armed = []
+
+        def flush_then_poison(address, size):
+            flushed = flush_range(address, size)
+            if not armed:  # the first flush is CompCpy's source flush
+                armed.append(address)
+                session.ras.inject_flips(address + 5 * CACHELINE_SIZE,
+                                         bits=2)
+            return flushed
+
+        session.llc.flush_range = flush_then_poison
+        payload = bytes(range(256)) * 8
+        expected = b"".join(AESGCM(KEY).encrypt(NONCE, payload, b""))
+        assert session.tls_encrypt(KEY, NONCE, payload) == expected
+        assert session.resilience_stats.onloaded_ops == 1
+        assert session.device.stats.offloads_aborted == 1
+        assert session.tls_encrypt(KEY, NONCE, payload) == expected
+        assert session.resilience_stats.onloaded_ops == 1
+        assert session.device.stats.offloads_finalized == 1
+
 
 class TestRowRetirement:
     def test_leaky_bucket_retires_a_weak_row(self, ras_session):

@@ -7,17 +7,31 @@ and re-admitting) and reproduce byte-identically under the same seed.
 Runs in seconds; select with ``-m ras``.
 """
 
+import json
+
 import pytest
 
-from repro.ras.sweep import (SCRUB_OVERHEAD_CEILING, gate_failures, run_ras,
-                             to_json)
+from repro.exp import build_matrix, run_matrix
+from repro.ras.sweep import SCRUB_OVERHEAD_CEILING, gate_failures
 
 pytestmark = pytest.mark.ras
 
 
+def run_ras(seed: int) -> dict:
+    """The quick ras payload, run serially through the experiment matrix."""
+    result = run_matrix(build_matrix(only=["ras"], seed=seed, quick=True),
+                        jobs=1)
+    return result.payload["targets"]["ras"]
+
+
+def canonical(report: dict) -> str:
+    """The payload serialised the way its BENCH file stores it."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.fixture(scope="module")
 def report():
-    return run_ras(seed=11, quick=True)
+    return run_ras(11)
 
 
 class TestIntegrityGate:
@@ -75,8 +89,8 @@ class TestIntegrityGate:
 
 class TestDeterminism:
     def test_same_seed_byte_identical_payload(self, report):
-        again = run_ras(seed=11, quick=True)
-        assert to_json(again) == to_json(report)
+        again = run_ras(11)
+        assert canonical(again) == canonical(report)
 
     def test_different_seed_differs(self, report):
-        assert to_json(run_ras(seed=12, quick=True)) != to_json(report)
+        assert canonical(run_ras(12)) != canonical(report)

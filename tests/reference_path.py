@@ -15,10 +15,13 @@ production path against it.
 * :class:`CommandDIMM` is a plain DIMM served through ``handle_command``:
   the controller's plain-DIMM direct path only takes exact
   :class:`PlainDIMM` instances, so this subclass goes the Command way.
+* :func:`decode_reference` is the original sequential shift chain that
+  ``AddressMapping.decode``'s precomputed shift/mask fields must match.
 """
 
 from repro.cache.llc import LLC
 from repro.core.offload_api import SessionConfig, SmartDIMMSession
+from repro.dram.address import AddressMapping, DramCoordinate, InterleaveMode
 from repro.dram.commands import CACHELINE_SIZE
 from repro.dram.memory_controller import MemoryController, PlainDIMM, TimingParams
 
@@ -94,3 +97,28 @@ def reference_controller(mapping, memory, timing: TimingParams = None,
                          trace: bool = False) -> ReferenceController:
     """A per-line controller over one plain DIMM on channel 0."""
     return ReferenceController(mapping, {0: CommandDIMM(memory)}, timing, trace=trace)
+
+
+def decode_reference(mapping: AddressMapping, address: int) -> DramCoordinate:
+    """Physical address -> DRAM coordinate by the sequential shift chain."""
+    if not 0 <= address < mapping.total_capacity:
+        raise ValueError("address 0x%x out of range" % address)
+    bits = address >> mapping._offset_bits
+    if mapping.interleave is InterleaveMode.CACHELINE and mapping.channels > 1:
+        channel = bits & (mapping.channels - 1)
+        bits >>= mapping._channel_bits
+    else:
+        channel = 0
+    column = bits & (mapping.columns_per_row - 1)
+    bits >>= mapping._column_bits
+    bank = bits & (mapping.banks_per_group - 1)
+    bits >>= mapping._bank_bits
+    bank_group = bits & (mapping.bank_groups - 1)
+    bits >>= mapping._bg_bits
+    row = bits & (mapping.rows - 1)
+    bits >>= mapping._row_bits
+    if mapping.interleave is InterleaveMode.SINGLE_CHANNEL and mapping.channels > 1:
+        channel = bits & (mapping.channels - 1)
+    return DramCoordinate(
+        channel=channel, bank_group=bank_group, bank=bank, row=row, column=column
+    )

@@ -5,16 +5,24 @@ import json
 
 import pytest
 
+from repro.exp import build_matrix, run_matrix
+from repro.exp.matrix import target_payload_json
 from repro.replication import sweep
 
 pytestmark = [pytest.mark.replication, pytest.mark.perf]
 
 
 @pytest.fixture(scope="module")
-def suite():
+def result():
     # Short windows: the gate runs the full durations; here we only need
     # enough simulated time for every sweep cell to complete real ops.
-    return sweep.run_replication_suite(seed=7, quick=True)
+    return run_matrix(build_matrix(only=["replication"], seed=7, quick=True),
+                      jobs=1)
+
+
+@pytest.fixture(scope="module")
+def suite(result):
+    return result.payload["targets"]["replication"]
 
 
 class TestSuiteShape:
@@ -43,8 +51,11 @@ class TestGateProperties:
     def test_zero_violations_everywhere(self, suite):
         assert suite["summary"]["total_violations"] == 0
 
+    def test_sweep_passes_its_own_gate(self, suite):
+        assert sweep.gate_failures(suite) == []
+
     def test_smartdimm_beats_cpu_goodput_under_fault(self, suite):
-        # The acceptance criterion check_regression.py enforces.
+        # The acceptance criterion gate_failures() enforces.
         assert suite["summary"]["smartdimm_over_cpu_goodput_fault"] > 1.0
 
     def test_failover_was_observed_and_bounded(self, suite):
@@ -57,8 +68,8 @@ class TestGateProperties:
 
 
 class TestSerialisation:
-    def test_to_json_round_trips_and_sorts(self, suite):
-        text = sweep.to_json(suite)
+    def test_to_json_round_trips_and_sorts(self, result, suite):
+        text = target_payload_json(result, "replication")
         assert text.endswith("\n")
         assert json.loads(text) == suite
 
@@ -72,8 +83,8 @@ class TestSerialisation:
 class TestDeterminism:
     def test_single_cell_sweep_is_byte_identical(self):
         def go():
-            return json.dumps(sweep.run_placement_sweep(
-                seed=11, placements=("smartdimm",),
+            return json.dumps(sweep.run_sweep_point(
+                "abd", "smartdimm", seed=11,
                 duration_s=0.008, warmup_s=0.002), sort_keys=True)
 
         assert go() == go()
