@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 from repro.cpu.costs import DEFAULT_COSTS, CostModel
 from repro.sim.server import Placement, ServerModel, Ulp, WorkloadSpec
 
+from repro.cluster.kernel import Event
 from repro.cluster.loadgen import DSA_RATIO_PENALTY, Request, measured_deflate_ratio
 from repro.cluster.metrics import MetricsRegistry, TraceRecorder
 
@@ -224,8 +225,13 @@ class ServerSim:
 
     @property
     def backlog_seconds(self) -> float:
-        return self.cpu_backlog_seconds + sum(
-            channel.backlog_seconds for channel in self.channels)
+        # Left to right from 0, exactly as ``sum`` adds: the schedulers
+        # compare these floats, so the summation order is part of the
+        # output.
+        channels = 0
+        for channel in self.channels:
+            channels += channel.backlog_seconds
+        return self.cpu_backlog_seconds + channels
 
 
 class Fleet:
@@ -260,6 +266,7 @@ class Fleet:
             for index in range(servers)
         ]
         self.measuring = True
+        self._brownout_routes = {}
         self.latency = self.registry.histogram("latency_s")
         self.spill_latency = self.registry.histogram("latency_spilled_s")
         self.wait_cpu = self.registry.histogram("wait_cpu_s")
@@ -371,7 +378,9 @@ class Fleet:
         self._tenant_count(request, "rejected")
 
     def submit(self, request: Request):
-        """Schedule and serve one request; returns its completion event.
+        """Schedule and serve one request; returns its completion event,
+        which succeeds with the request once it leaves the fleet, served
+        or shed at a station.
 
         Returns ``None`` when overload control drops the request up front:
         either the CoDel admission controller sheds it at ingress, or every
@@ -424,9 +433,7 @@ class Fleet:
                      if request.tenant else policy.brownout(self.sim.now)):
             # Brownout: serve degraded (lower compression level / skipped
             # optional ULP stages -> a cheaper DSA pass) instead of shedding.
-            route = replace(
-                route,
-                dsa_seconds=route.dsa_seconds * policy.config.brownout_factor)
+            route = self._brownout_route(route, policy.config.brownout_factor)
             request.brownout = True
             if self.measuring:
                 self.brownouts.inc()
@@ -444,7 +451,18 @@ class Fleet:
             if spill:
                 self.spilled.inc()
         self._tenant_count(request, "submitted")
-        return self.sim.spawn(self._serve(request, server, channel, route))
+        visit = _Visit(self, request, server, channel, route)
+        self.sim._post(visit.start, None)
+        return visit.done
+
+    def _brownout_route(self, route: RouteCosts, factor: float) -> RouteCosts:
+        """`route` with its DSA stage scaled by `factor`, memoised."""
+        key = (route, factor)
+        degraded = self._brownout_routes.get(key)
+        if degraded is None:
+            degraded = self._brownout_routes[key] = replace(
+                route, dsa_seconds=route.dsa_seconds * factor)
+        return degraded
 
     def _shed_expired(self, request: Request, station: str) -> bool:
         """Deadline check at a station dequeue; count the shed if due."""
@@ -474,101 +492,34 @@ class Fleet:
             return resource.acquire(request.tenant, request.klass, cost_s)
         return resource.acquire()
 
-    def _serve(self, request: Request, server: ServerSim, channel: Channel,
-               route: RouteCosts):
-        sim = self.sim
-        # CPU stage: protocol stack + ULP management (or the whole ULP when
-        # spilled) on one of the worker cores.
-        enqueued = sim.now
-        yield self._acquire(server.cpu, request, route.cpu_seconds)
-        request.waits["cpu"] = sim.now - enqueued
-        self._observe_wait("cpu", request.waits["cpu"], request)
-        if self._shed_expired(request, "cpu"):
-            # Dead on dequeue: don't burn a worker on work the client has
-            # already given up on.  Refund both backlogs — the request
-            # never reaches its DSA queue either.
-            server.cpu.release()
-            server.cpu_backlog_seconds -= route.cpu_seconds
-            if route.dsa_seconds > 0.0:
-                channel.backlog_seconds -= route.dsa_seconds
-            return request
-        started = sim.now
-        yield route.cpu_seconds
-        server.cpu.release()
-        server.cpu_backlog_seconds -= route.cpu_seconds
-        self._trace(request, "cpu", started, route.cpu_seconds, TRACE_TID_CPU)
-        # Memory-bus stage: the request's DDR traffic at aggregate bandwidth.
-        yield server.membus.acquire()
-        started = sim.now
-        yield route.mem_seconds
-        server.membus.release()
-        # DSA stage: only routes that run the ULP on the DIMM queue here.
-        if route.dsa_seconds > 0.0:
-            enqueued = sim.now
-            yield self._acquire(channel.resource, request, route.dsa_seconds)
-            request.waits["dsa"] = sim.now - enqueued
-            self._observe_wait("dsa", request.waits["dsa"], request)
-            if self._shed_expired(request, "dsa"):
-                channel.resource.release()
-                channel.backlog_seconds -= route.dsa_seconds
-                return request
-            started = sim.now
-            dsa_seconds = route.dsa_seconds
-            if self.fault_injector is not None:
-                # A wedged channel still serves, just slower; the health
-                # monitor sees the inflated stage time and trips the breaker.
-                dsa_seconds *= self.fault_injector.dsa_multiplier(
-                    server.index, channel.index)
-            yield dsa_seconds
-            channel.resource.release()
-            channel.backlog_seconds -= route.dsa_seconds
-            channel.served += 1
-            if self.measuring:
-                self.dsa_served.inc()
-            if self.fault_injector is not None:
-                self.fault_injector.observe_dsa(
-                    server.index, channel.index,
-                    request.waits["dsa"] + dsa_seconds, route.dsa_seconds)
-            self._trace(request, "dsa", started, dsa_seconds,
-                        TRACE_TID_CHANNEL0 + channel.index)
-        # Link stage: the response leaves through the NIC.
-        yield server.link.acquire()
-        if self._shed_expired(request, "link"):
-            server.link.release()
-            return request
-        started = sim.now
-        yield route.link_seconds
-        server.link.release()
-        self._trace(request, "tx", started, route.link_seconds, TRACE_TID_LINK)
-        request.complete_s = sim.now
-        if self.fault_injector is not None and self.measuring:
-            self.fault_injector.note_completion(sim.now)
-        if self.measuring:
-            self.completed.inc()
-            self.bytes_out.inc(route.output_bytes)
-            self.latency.record(request.latency_s)
-            if request.route == "cpu-spill":
-                self.spill_latency.record(request.latency_s)
-            self.wait_cpu.record(request.waits.get("cpu", 0.0))
-            if "dsa" in request.waits:
-                self.wait_dsa.record(request.waits["dsa"])
-            if self.overload is not None or self.qos is not None:
-                if request.met_deadline:
-                    self.deadline_met.inc()
-                else:
-                    self.deadline_missed.inc()
-                met = self.class_deadline.setdefault(request.klass, [0, 0])
-                met[0 if request.met_deadline else 1] += 1
-            if request.tenant:
-                stats = self._tenant_slot(request.tenant)
-                stats["completed"] += 1
-                stats["bytes_out"] += route.output_bytes
-                stats["latency"].record(request.latency_s)
-                if request.met_deadline:
-                    stats["deadline_met"] += 1
-                else:
-                    stats["deadline_missed"] += 1
-        return request
+    def _complete(self, request: Request, route: RouteCosts) -> None:
+        """Telemetry for a request that left through the NIC."""
+        if self.fault_injector is not None:
+            self.fault_injector.note_completion(self.sim.now)
+        self.completed.inc()
+        self.bytes_out.inc(route.output_bytes)
+        self.latency.record(request.latency_s)
+        if request.route == "cpu-spill":
+            self.spill_latency.record(request.latency_s)
+        self.wait_cpu.record(request.waits.get("cpu", 0.0))
+        if "dsa" in request.waits:
+            self.wait_dsa.record(request.waits["dsa"])
+        if self.overload is not None or self.qos is not None:
+            if request.met_deadline:
+                self.deadline_met.inc()
+            else:
+                self.deadline_missed.inc()
+            met = self.class_deadline.setdefault(request.klass, [0, 0])
+            met[0 if request.met_deadline else 1] += 1
+        if request.tenant:
+            stats = self._tenant_slot(request.tenant)
+            stats["completed"] += 1
+            stats["bytes_out"] += route.output_bytes
+            stats["latency"].record(request.latency_s)
+            if request.met_deadline:
+                stats["deadline_met"] += 1
+            else:
+                stats["deadline_missed"] += 1
 
     def _trace(self, request: Request, stage: str, started: float,
                duration: float, tid: int) -> None:
@@ -671,3 +622,135 @@ class Fleet:
             },
         })
         return out
+
+
+class _Visit:
+    """One request's walk through its server's stations.
+
+    Each method is one kernel event: the stage's work between two waits,
+    ending by waiting on a station grant or a service time.  `done`
+    succeeds with the request when it leaves the fleet, completed or
+    shed.
+    """
+
+    __slots__ = ("fleet", "request", "server", "channel", "route", "done",
+                 "enqueued", "started", "dsa_seconds")
+
+    def __init__(self, fleet: Fleet, request: Request, server: ServerSim,
+                 channel: Channel, route: RouteCosts):
+        self.fleet = fleet
+        self.request = request
+        self.server = server
+        self.channel = channel
+        self.route = route
+        self.done = Event(fleet.sim)
+
+    def start(self, _) -> None:
+        # CPU stage: protocol stack + ULP management (or the whole ULP when
+        # spilled) on one of the worker cores.
+        self.enqueued = self.fleet.sim.now
+        self.fleet._acquire(self.server.cpu, self.request,
+                            self.route.cpu_seconds).wait(self.cpu_granted)
+
+    def cpu_granted(self, _) -> None:
+        fleet, request, server, route = \
+            self.fleet, self.request, self.server, self.route
+        sim = fleet.sim
+        request.waits["cpu"] = wait = sim.now - self.enqueued
+        fleet._observe_wait("cpu", wait, request)
+        if fleet._shed_expired(request, "cpu"):
+            # Dead on dequeue: don't burn a worker on work the client has
+            # already given up on.  Refund both backlogs — the request
+            # never reaches its DSA queue either.
+            server.cpu.release()
+            server.cpu_backlog_seconds -= route.cpu_seconds
+            if route.dsa_seconds > 0.0:
+                self.channel.backlog_seconds -= route.dsa_seconds
+            self.done.succeed(request)
+            return
+        self.started = sim.now
+        sim.resume_after(route.cpu_seconds, self.cpu_served)
+
+    def cpu_served(self, _) -> None:
+        server, route = self.server, self.route
+        server.cpu.release()
+        server.cpu_backlog_seconds -= route.cpu_seconds
+        self.fleet._trace(self.request, "cpu", self.started,
+                          route.cpu_seconds, TRACE_TID_CPU)
+        # Memory-bus stage: the request's DDR traffic at aggregate bandwidth.
+        server.membus.acquire().wait(self.membus_granted)
+
+    def membus_granted(self, _) -> None:
+        self.fleet.sim.resume_after(self.route.mem_seconds,
+                                    self.membus_served)
+
+    def membus_served(self, _) -> None:
+        self.server.membus.release()
+        # DSA stage: only routes that run the ULP on the DIMM queue here.
+        if self.route.dsa_seconds > 0.0:
+            fleet = self.fleet
+            self.enqueued = fleet.sim.now
+            fleet._acquire(self.channel.resource, self.request,
+                           self.route.dsa_seconds).wait(self.dsa_granted)
+        else:
+            self._to_link()
+
+    def dsa_granted(self, _) -> None:
+        fleet, request, channel, route = \
+            self.fleet, self.request, self.channel, self.route
+        sim = fleet.sim
+        request.waits["dsa"] = wait = sim.now - self.enqueued
+        fleet._observe_wait("dsa", wait, request)
+        if fleet._shed_expired(request, "dsa"):
+            channel.resource.release()
+            channel.backlog_seconds -= route.dsa_seconds
+            self.done.succeed(request)
+            return
+        self.started = sim.now
+        dsa_seconds = route.dsa_seconds
+        if fleet.fault_injector is not None:
+            # A wedged channel still serves, just slower; the health
+            # monitor sees the inflated stage time and trips the breaker.
+            dsa_seconds *= fleet.fault_injector.dsa_multiplier(
+                self.server.index, channel.index)
+        self.dsa_seconds = dsa_seconds
+        sim.resume_after(dsa_seconds, self.dsa_served)
+
+    def dsa_served(self, _) -> None:
+        fleet, channel, route = self.fleet, self.channel, self.route
+        channel.resource.release()
+        channel.backlog_seconds -= route.dsa_seconds
+        channel.served += 1
+        if fleet.measuring:
+            fleet.dsa_served.inc()
+        if fleet.fault_injector is not None:
+            fleet.fault_injector.observe_dsa(
+                self.server.index, channel.index,
+                self.request.waits["dsa"] + self.dsa_seconds,
+                route.dsa_seconds)
+        fleet._trace(self.request, "dsa", self.started, self.dsa_seconds,
+                     TRACE_TID_CHANNEL0 + channel.index)
+        self._to_link()
+
+    def _to_link(self) -> None:
+        # Link stage: the response leaves through the NIC.
+        self.server.link.acquire().wait(self.link_granted)
+
+    def link_granted(self, _) -> None:
+        fleet = self.fleet
+        if fleet._shed_expired(self.request, "link"):
+            self.server.link.release()
+            self.done.succeed(self.request)
+            return
+        self.started = fleet.sim.now
+        fleet.sim.resume_after(self.route.link_seconds, self.link_served)
+
+    def link_served(self, _) -> None:
+        fleet, request = self.fleet, self.request
+        self.server.link.release()
+        fleet._trace(request, "tx", self.started, self.route.link_seconds,
+                     TRACE_TID_LINK)
+        request.complete_s = fleet.sim.now
+        if fleet.measuring:
+            fleet._complete(request, self.route)
+        self.done.succeed(request)

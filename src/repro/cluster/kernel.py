@@ -1,15 +1,22 @@
 """Deterministic discrete-event simulation kernel.
 
 A minimal process-style DES engine in the simpy idiom, purpose-built for
-the cluster layer: an event heap keyed by ``(time, sequence)``, a simulated
-clock, one seeded :class:`random.Random`, and coroutine processes that
-``yield`` timeouts, events, or resource grants.
+the cluster layer: an event heap keyed by ``(time, sequence)`` for future
+instants, a FIFO ready queue for the current one, a simulated clock, one
+seeded :class:`random.Random`, and coroutine processes that ``yield``
+timeouts, events, or resource grants.
 
 Determinism is the design constraint, not an afterthought:
 
-* every callback runs through the same heap, tie-broken by a monotonically
-  increasing sequence number, so simultaneous events fire in the order they
-  were scheduled;
+* simultaneous events fire in the order they were scheduled.  Future
+  events wait in the heap, tie-broken by a monotonically increasing
+  sequence number; an event for the current instant is appended to the
+  ready queue.  When the ready queue drains, the clock advances to the
+  next instant and its heap entries run in sequence order, then the ready
+  queue they filled.  Those heap entries were all pushed before the clock
+  reached that instant, so they precede anything posted at it: the order
+  is exactly the one a single ``(time, sequence)`` heap gives (pinned
+  against that heap-only kernel by ``tests/cluster/test_kernel_oracle.py``);
 * all randomness flows through ``Simulator.rng`` (or children derived from
   it via :meth:`Simulator.fork_rng`) — no module-level ``random`` anywhere
   in the cluster layer;
@@ -24,6 +31,7 @@ sequences and, downstream, byte-identical metrics (see
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections import deque
 
@@ -90,12 +98,13 @@ class Process(Event):
             self.succeed(getattr(stop, "value", None))
             return
         if isinstance(target, (int, float)):
-            target = self.sim.timeout(target)
-        elif not isinstance(target, Event):
+            self.sim.resume_after(target, self._step)
+        elif isinstance(target, Event):
+            target.wait(self._step)
+        else:
             raise TypeError(
                 "process yielded %r; expected a delay or an Event" % (target,)
             )
-        target.wait(self._step)
 
 
 class Resource:
@@ -152,6 +161,8 @@ class Resource:
 
     def release(self) -> None:
         """Free a held slot, handing it to the longest-waiting requester."""
+        if not self.busy:
+            raise RuntimeError("release of %r with no holder" % self.name)
         if self._waiters:
             # Slot changes hands; occupancy is unchanged.
             self._waiters.popleft().succeed()
@@ -183,18 +194,22 @@ class Resource:
 
 
 class Simulator:
-    """The event loop: heap, clock, seeded RNG, process spawner."""
+    """The event loop: heap, ready queue, clock, seeded RNG, spawner."""
 
     def __init__(self, seed: int = 0):
         self.now = 0.0
         self.rng = random.Random(seed)
         self._heap = []
+        self._ready = deque()
         self._sequence = 0
         self.events_processed = 0
 
     # -- scheduling -------------------------------------------------------------
 
     def _push(self, time: float, callback, argument) -> None:
+        if time == self.now:
+            self._ready.append((callback, argument))
+            return
         # Heap entries are (time, sequence, callback, argument).  The
         # sequence is strictly monotonic and unique per push, so heapq's
         # tuple comparison NEVER reaches the callback/argument slots: events
@@ -206,7 +221,7 @@ class Simulator:
 
     def _post(self, callback, argument) -> None:
         """Schedule `callback(argument)` at the current instant (FIFO)."""
-        self._push(self.now, callback, argument)
+        self._ready.append((callback, argument))
 
     def schedule(self, delay: float, callback, argument=None) -> None:
         """Run `callback(argument)` after `delay` simulated seconds."""
@@ -219,13 +234,16 @@ class Simulator:
         if delay < 0:
             raise ValueError("negative timeout")
         event = Event(self)
-        self._push(self.now + delay, self._fire, (event, value))
+        self._push(self.now + delay, event.succeed, value)
         return event
 
-    @staticmethod
-    def _fire(pair) -> None:
-        event, value = pair
-        event.succeed(value)
+    def resume_after(self, delay: float, callback) -> None:
+        """Run `callback(None)` `delay` seconds from now, in the order a
+        :meth:`timeout` with one waiter would: the expiry is one event
+        and the resume a second, posted by it — without the Event."""
+        if delay < 0:
+            raise ValueError("negative timeout")
+        self._push(self.now + delay, self._ready.append, (callback, None))
 
     def spawn(self, generator) -> Process:
         """Start a coroutine process; returns its completion event."""
@@ -243,7 +261,7 @@ class Simulator:
     # -- running ----------------------------------------------------------------
 
     def run(self, until: float = None) -> int:
-        """Process events until the heap drains or the clock passes `until`.
+        """Process events until none remain or the clock passes `until`.
 
         Returns the number of events processed by this call.  With `until`
         given, the clock is left exactly at `until` even if the last event
@@ -251,14 +269,29 @@ class Simulator:
         """
         processed = 0
         heap = self._heap
-        while heap:
-            time, _, callback, argument = heap[0]
-            if until is not None and time > until:
-                break
-            heapq.heappop(heap)
-            self.now = time
-            callback(argument)
-            processed += 1
+        ready = self._ready
+        pop = heapq.heappop
+        limit = math.inf if until is None else until
+        if self.now <= limit:
+            while True:
+                while ready:
+                    callback, argument = ready.popleft()
+                    callback(argument)
+                    processed += 1
+                if not heap:
+                    break
+                time = heap[0][0]
+                if time > limit:
+                    break
+                self.now = time
+                # The instant's heap entries, in sequence order; whatever
+                # they post joins the ready queue behind them.
+                while True:
+                    _, _, callback, argument = pop(heap)
+                    callback(argument)
+                    processed += 1
+                    if not heap or heap[0][0] != time:
+                        break
         if until is not None and self.now < until:
             self.now = until
         self.events_processed += processed

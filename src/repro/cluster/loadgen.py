@@ -333,15 +333,17 @@ class OpenLoopLoad(_LoadBase):
 
     def start(self) -> None:
         """Begin generating arrivals (call once, before Simulator.run)."""
-        self.sim.spawn(self._arrival_loop())
+        self.sim.schedule(0.0, self._next_arrival)
 
-    def _arrival_loop(self):
-        while True:
-            gap = self.arrivals.next_gap(self.sim.now, self.rng)
-            if gap is None:
-                return
-            yield gap
-            self.fleet.submit(self._make_request(connection=-1))
+    def _next_arrival(self, _) -> None:
+        # Draw the gap now, arrive after it; each arrival draws the next.
+        gap = self.arrivals.next_gap(self.sim.now, self.rng)
+        if gap is not None:
+            self.sim.resume_after(gap, self._arrive)
+
+    def _arrive(self, _) -> None:
+        self.fleet.submit(self._make_request(connection=-1))
+        self._next_arrival(None)
 
 
 class ClosedLoopLoad(_LoadBase):

@@ -45,6 +45,20 @@ def spill_decision(dsa_backlog_s: float, cpu_backlog_s: float, threads: int,
     return dsa_backlog_s > cpu_wait + spill_factor * delta
 
 
+def shortest_channel(server):
+    """`server`'s DSA channel with the least backlog, lowest index on ties
+    (channels are listed in index order, so a strict ``<`` keeps the
+    first)."""
+    channels = server.channels
+    channel = channels[0]
+    best = channel.backlog_seconds
+    for candidate in channels[1:]:
+        backlog = candidate.backlog_seconds
+        if backlog < best:
+            channel, best = candidate, backlog
+    return channel
+
+
 class Scheduler:
     """Base policy: subclasses implement :meth:`assign`."""
 
@@ -120,10 +134,14 @@ class LeastLoadedScheduler(Scheduler):
 
     def select(self, fleet: Fleet) -> tuple:
         """Return the least-backlogged server and its shortest DSA channel."""
-        server = min(fleet.servers, key=lambda s: (s.backlog_seconds, s.index))
-        channel = min(server.channels,
-                      key=lambda c: (c.backlog_seconds, c.index))
-        return server, channel
+        servers = fleet.servers
+        server = servers[0]
+        best = server.backlog_seconds
+        for candidate in servers[1:]:
+            backlog = candidate.backlog_seconds
+            if backlog < best:
+                server, best = candidate, backlog
+        return server, shortest_channel(server)
 
     def assign(self, fleet: Fleet, request: Request) -> Assignment:
         """Place `request` on the currently least-loaded server and channel."""
@@ -160,6 +178,11 @@ class AdaptiveSpillScheduler(LeastLoadedScheduler):
     def assign(self, fleet: Fleet, request: Request) -> Assignment:
         """Least-loaded placement, spilling to CPU when the rule fires."""
         server, channel = self.select(fleet)
+        return self._place(fleet, request, server, channel)
+
+    def _place(self, fleet: Fleet, request: Request, server,
+               channel) -> Assignment:
+        """Run on (`server`, `channel`), spilling when the rule fires."""
         spill = False
         profile = fleet.profile
         if profile.can_spill:
@@ -198,19 +221,7 @@ class TargetedScheduler(AdaptiveSpillScheduler):
         if request.target < 0:
             return super().assign(fleet, request)
         server = fleet.servers[request.target]
-        channel = min(server.channels,
-                      key=lambda c: (c.backlog_seconds, c.index))
-        spill = False
-        profile = fleet.profile
-        if profile.can_spill:
-            offload = profile.route(request.size, request.kind, spill=False)
-            if offload.dsa_seconds > 0.0:
-                onload = profile.route(request.size, request.kind, spill=True)
-                spill = spill_decision(
-                    channel.backlog_seconds, server.cpu_backlog_seconds,
-                    server.threads, offload.cpu_seconds, onload.cpu_seconds,
-                    self.spill_factor)
-        return Assignment(server=server.index, channel=channel.index, spill=spill)
+        return self._place(fleet, request, server, shortest_channel(server))
 
     def reroute_full(self, fleet: Fleet, request: Request,
                      assignment: Assignment) -> Assignment:

@@ -209,6 +209,8 @@ class QosResource(Resource):
 
     def release(self) -> None:
         """Free a slot, handing it to the arbiter's DRR selection."""
+        if not self.busy:
+            raise RuntimeError("release of %r with no holder" % self.name)
         grant = self.arbiter.dequeue()
         if grant is not None:
             grant.succeed()
