@@ -249,7 +249,6 @@ def _cmd_cluster(args) -> int:
         trace_path=args.trace_out,
         tier=args.tier,
         epoch_s=args.epoch_s,
-        vector_backend=args.vector_backend,
         arrival_stream=args.arrival_stream,
     )
     if args.crosscheck:
@@ -276,11 +275,9 @@ def _cmd_chaos(args) -> int:
 
     report = run_chaos(seed=args.seed, ops=args.ops)
     print(render_chaos(report))
-    payload = json.dumps(report, sort_keys=True)
     if args.json_out:
-        write_json_report(args.json_out, payload, "chaos report")
-    else:
-        print(payload)
+        write_json_report(args.json_out, json.dumps(report, sort_keys=True),
+                          "chaos report")
     corrupted = report["micro"]["corruption_observed"]
     if corrupted:
         print("FAIL: %d corrupted outputs escaped recovery" % corrupted)
@@ -458,9 +455,6 @@ def main(argv=None) -> int:
     cluster.add_argument("--epoch-s", type=float, default=None,
                          help="vector-tier epoch length in seconds "
                               "(default: duration / 50)")
-    cluster.add_argument("--vector-backend",
-                         choices=["auto", "numpy", "python"], default="auto",
-                         help="vector-tier array backend (default auto)")
     cluster.add_argument("--arrival-stream", choices=["replay", "batch"],
                          default="replay",
                          help="vector-tier open-loop arrivals: replay the "
@@ -483,7 +477,7 @@ def main(argv=None) -> int:
                        help="micro-phase offload operations (default 24)")
     chaos.add_argument("--json-out", default=None,
                        help="write the machine-readable report here "
-                            "(default: print it after the summary)")
+                            "(default: print only the summary)")
     for name in SWEEP_COMMANDS:
         target = get_target(name)
         command = sub.add_parser(name, help=target.description)

@@ -20,10 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-try:  # numpy accelerates bulk ingest; every path has a pure-Python twin
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the forced fallback
-    _np = None
+import numpy as _np
 
 
 class Counter:
@@ -110,7 +107,7 @@ class LogHistogram:
             self.max = value
 
     def record_many(self, values) -> None:
-        """Bulk-ingest an iterable (or numpy array) of samples.
+        """Bulk-ingest a numpy array (or sequence) of samples.
 
         Bucket assignment, count, min, and max are exactly what `len(values)`
         individual :meth:`record` calls would produce; only the float ``sum``
@@ -119,10 +116,6 @@ class LogHistogram:
         fleet tier's ingest path: one call per epoch cohort instead of one
         per request.
         """
-        if _np is None:
-            for value in values:
-                self.record(value)
-            return
         samples = _np.asarray(values, dtype=_np.float64)
         if samples.size == 0:
             return

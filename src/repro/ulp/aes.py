@@ -12,10 +12,7 @@ irreducible polynomial x^8 + x^4 + x^3 + x + 1 (0x11B).
 
 from __future__ import annotations
 
-try:  # optional vector backend for the batched CTR fast path
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
+import numpy as _np
 
 _SBOX = [0] * 256
 _INV_SBOX = [0] * 256
@@ -92,13 +89,12 @@ _build_ttables()
 
 # Vector-form tables for the batched CTR path: the same T-tables and S-box,
 # held as uint32 arrays so one fancy-indexing op substitutes a whole batch of
-# scalar lookups.  Built once at import when numpy is available.
-if _np is not None:
-    _NP_T0 = _np.array(_T0, dtype=_np.uint32)
-    _NP_T1 = _np.array(_T1, dtype=_np.uint32)
-    _NP_T2 = _np.array(_T2, dtype=_np.uint32)
-    _NP_T3 = _np.array(_T3, dtype=_np.uint32)
-    _NP_SBOX = _np.array(_SBOX, dtype=_np.uint32)
+# scalar lookups.  Built once at import.
+_NP_T0 = _np.array(_T0, dtype=_np.uint32)
+_NP_T1 = _np.array(_T1, dtype=_np.uint32)
+_NP_T2 = _np.array(_T2, dtype=_np.uint32)
+_NP_T3 = _np.array(_T3, dtype=_np.uint32)
+_NP_SBOX = _np.array(_SBOX, dtype=_np.uint32)
 
 # Below this many blocks the per-call overhead of the vector path exceeds the
 # scalar T-table loop; measured crossover is ~16-32 blocks on CPython.
@@ -249,14 +245,13 @@ class AES:
         Counter values are ``(start_counter + i) mod 2^32`` — GCM's inc32
         semantics.  Large batches run through the vectorised T-table path
         (one numpy gather per table per round for the whole batch); small
-        batches and numpy-less environments fall back to the scalar loop.
-        Output is bit-identical either way.
+        batches take the scalar loop.  Output is bit-identical either way.
         """
         if len(prefix) != 12:
             raise ValueError("counter prefix must be 12 bytes, got %d" % len(prefix))
         if nblocks <= 0:
             return b""
-        if _np is None or nblocks < CTR_BATCH_MIN_BLOCKS:
+        if nblocks < CTR_BATCH_MIN_BLOCKS:
             out = bytearray()
             for i in range(nblocks):
                 counter = (start_counter + i) & 0xFFFFFFFF

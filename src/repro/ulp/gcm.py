@@ -35,12 +35,9 @@ equivalence tests and the perf-regression baseline in ``benchmarks/perf``.
 
 from __future__ import annotations
 
-from repro.ulp.aes import AES
+import numpy as _np
 
-try:  # optional vector backend for bulk GHASH
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
+from repro.ulp.aes import AES
 
 # The reduction polynomial R = 11100001 || 0^120, as an integer with bit 0
 # being the *leftmost* (most significant in GCM's reflected convention).
@@ -382,7 +379,7 @@ class AESGCM:
         that lets the TLS DSA fold out-of-order cachelines (Sec. V-A).
         """
         nblocks = (len(data) + 15) // 16
-        if _np is None or nblocks < _VEC_MIN_BLOCKS:
+        if nblocks < _VEC_MIN_BLOCKS:
             return ghash_int(self.mul_h, data, y)
         lanes = _VEC_LANES
         steps = nblocks // lanes

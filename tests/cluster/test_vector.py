@@ -1,4 +1,4 @@
-"""Vector fleet tier: smoke runs, backend parity, crosscheck, CLI wiring.
+"""Vector fleet tier: smoke runs, crosscheck, guard rails, CLI wiring.
 
 These are tier-1 tests, so every scenario here is tiny (a few hundred
 requests); the fleet-scale speedup claims live in
@@ -6,16 +6,15 @@ requests); the fleet-scale speedup claims live in
 """
 
 import json
-from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.__main__ import main as cli_main
 from repro.cluster import ClusterScenario, crosscheck_tiers, run_scenario
-from repro.cluster.epoch import have_numpy, make_ops
-from repro.cluster.vector import _Backlog, run_vector_scenario
+from repro.cluster.vector import _Backlog
 
-BACKENDS = ["python"] + (["numpy"] if have_numpy() else [])
+from tests.cluster.reference_epoch import BisectBacklog
 
 
 def _closed_scenario(**overrides):
@@ -38,20 +37,17 @@ def _open_scenario(**overrides):
 # -- smoke runs --------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_vector_closed_loop_smoke(backend):
-    report = run_scenario(_closed_scenario(vector_backend=backend))
+def test_vector_closed_loop_smoke():
+    report = run_scenario(_closed_scenario())
     assert report.scenario["tier"] == "vector"
-    assert report.scenario["backend"] == backend
     assert report.completed > 0
     assert report.events_processed > report.completed
     assert report.latency["count"] == report.completed
     assert 0.0 <= report.cpu_utilisation[0] <= 1.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_vector_open_loop_smoke(backend):
-    report = run_scenario(_open_scenario(vector_backend=backend))
+def test_vector_open_loop_smoke():
+    report = run_scenario(_open_scenario())
     assert report.completed > 0
     assert report.submitted > 0
     assert report.bytes_out > 0
@@ -62,20 +58,6 @@ def test_vector_tier_is_deterministic():
     a = run_scenario(_open_scenario()).to_json()
     b = run_scenario(_open_scenario()).to_json()
     assert a == b
-
-
-def test_vector_backends_agree_exactly():
-    """The numpy and python columns are drop-in equivalent on the replay
-    stream: same counts, same latency summary, to the float."""
-    if not have_numpy():
-        pytest.skip("numpy backend unavailable")
-    np_rep = run_scenario(_open_scenario(vector_backend="numpy"))
-    py_rep = run_scenario(_open_scenario(vector_backend="python"))
-    assert np_rep.completed == py_rep.completed
-    assert np_rep.submitted == py_rep.submitted
-    assert np_rep.bytes_out == py_rep.bytes_out
-    assert np_rep.latency == py_rep.latency
-    assert np_rep.events_processed == py_rep.events_processed
 
 
 # -- tier crosscheck ---------------------------------------------------------------
@@ -120,17 +102,13 @@ def test_vector_rejects_event_only_knobs():
             run_scenario(_open_scenario(**bad))
 
 
-def test_vector_rejects_bad_stream_and_backend():
+def test_vector_rejects_bad_stream_and_tier():
     with pytest.raises(ValueError):
         run_scenario(_open_scenario(arrival_stream="firehose"))
-    with pytest.raises(ValueError):  # batch generation is numpy-only
-        run_vector_scenario(_open_scenario(arrival_stream="batch",
-                                           vector_backend="python"))
     with pytest.raises(ValueError):
         run_scenario(_open_scenario(tier="warp"))
 
 
-@pytest.mark.skipif(not have_numpy(), reason="batch stream needs numpy")
 def test_vector_batch_stream_runs():
     """The bulk-numpy arrival stream simulates the same process: not
     draw-for-draw identical, but the same load within a loose band."""
@@ -142,16 +120,27 @@ def test_vector_batch_stream_runs():
 # -- the epoch-grid backlog tracker ------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backlog_expires_work_at_boundaries(backend):
-    ops = make_ops(backend)
-    backlog = _Backlog(ops)
-    backlog.set_grid([1.0, 2.0, 3.0])
-    backlog.add(ops.asarray([0.5, 1.5, 2.5]), ops.asarray([1.0, 2.0, 4.0]))
-    assert backlog.at(1.0) == pytest.approx(6.0)  # the 0.5-departure expired
-    assert backlog.at(2.0) == pytest.approx(4.0)
-    backlog.add(ops.asarray([10.0]), ops.asarray([8.0]))  # beyond the grid
-    assert backlog.at(3.0) == pytest.approx(8.0)  # overflow never expires
+def test_backlog_expires_work_at_boundaries():
+    """The searchsorted/bincount bucketing expires exactly what per-job
+    bisect bucketing does, departures on a boundary included."""
+    grid = [1.0, 2.0, 3.0]
+    backlog, reference = _Backlog(), BisectBacklog(grid)
+    backlog.set_grid(grid)
+
+    def add(departs, costs):
+        backlog.add(np.asarray(departs), np.asarray(costs))
+        reference.add(departs, costs)
+
+    def at(t):
+        value = backlog.at(t)
+        assert value == pytest.approx(reference.at(t))
+        return value
+
+    add([0.5, 1.5, 2.0, 2.5], [1.0, 2.0, 0.5, 4.0])
+    assert at(1.0) == pytest.approx(6.5)  # the 0.5-departure expired
+    assert at(2.0) == pytest.approx(4.0)  # 2.0 departs by t=2.0
+    add([10.0], [8.0])  # beyond the grid
+    assert at(3.0) == pytest.approx(8.0)  # overflow never expires
 
 
 # -- CLI wiring --------------------------------------------------------------------
@@ -189,6 +178,5 @@ def test_cli_cluster_help_lists_tier_flags(capsys):
     with pytest.raises(SystemExit):
         cli_main(["cluster", "--help"])
     out = capsys.readouterr().out
-    for flag in ("--tier", "--epoch-s", "--vector-backend",
-                 "--arrival-stream", "--crosscheck"):
+    for flag in ("--tier", "--epoch-s", "--arrival-stream", "--crosscheck"):
         assert flag in out

@@ -3,14 +3,19 @@
 Tier-1 regression gate for the whole fault stack — one seeded end-to-end
 run through the micro, network, and cluster phases must inject faults at
 every layer, recover everywhere, corrupt nothing, and reproduce
-byte-identically under the same seed.
+byte-identically under the same seed.  The CLI tests pin what the
+command prints: the summary, the JSON only under ``--json-out``, and a
+``FAIL:`` line (exit 1) when corrupted outputs escape.
 """
 
+import copy
 import json
 
 import pytest
 
-from repro.faults.chaos import run_chaos
+from repro.__main__ import main as cli_main
+from repro.faults import chaos as chaos_module
+from repro.faults.chaos import render_chaos, run_chaos
 
 pytestmark = pytest.mark.faults
 
@@ -76,3 +81,36 @@ class TestClusterPhase:
 def test_identical_seed_identical_report(report):
     again = run_chaos(seed=7)
     assert json.dumps(report, sort_keys=True) == json.dumps(again, sort_keys=True)
+
+
+# -- the CLI: the summary on stdout, the JSON only where --json-out says -----
+
+
+def _cli(monkeypatch, capsys, report, *extra):
+    monkeypatch.setattr(chaos_module, "run_chaos", lambda seed, ops: report)
+    code = cli_main(["chaos", "--seed", str(report["seed"]), *extra])
+    return code, capsys.readouterr().out
+
+
+def test_cli_prints_only_the_summary(report, monkeypatch, capsys):
+    code, out = _cli(monkeypatch, capsys, report)
+    assert code == 0
+    assert out == render_chaos(report) + "\n"
+
+
+def test_cli_json_out_holds_the_report(report, monkeypatch, capsys, tmp_path):
+    path = tmp_path / "chaos.json"
+    code, out = _cli(monkeypatch, capsys, report, "--json-out", str(path))
+    assert code == 0
+    assert path.read_text() == json.dumps(report, sort_keys=True)
+    assert out == (render_chaos(report)
+                   + "\nchaos report JSON written to %s\n" % path)
+
+
+def test_cli_fails_when_corruption_escapes(report, monkeypatch, capsys):
+    escaped = copy.deepcopy(report)
+    escaped["micro"]["corruption_observed"] = 2
+    code, out = _cli(monkeypatch, capsys, escaped)
+    assert code == 1
+    assert out == (render_chaos(escaped)
+                   + "\nFAIL: 2 corrupted outputs escaped recovery\n")
